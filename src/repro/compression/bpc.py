@@ -17,9 +17,16 @@ Two paths are provided:
 
 * :meth:`BPCCompressor.encode` / :meth:`BPCCompressor.decode` — a
   bit-exact scalar codec, property-tested for roundtrip fidelity.
-* :meth:`BPCCompressor.compressed_sizes` — a fully vectorised
-  size-only path (what every snapshot study consumes), property-tested
-  for equality with the scalar encoder.
+* :meth:`BPCCompressor.compressed_sizes` — a vectorised size-only
+  path (what every snapshot study consumes), property-tested for
+  equality with the scalar encoder.  It works on 4096 blocks at a time
+  in plane-major order: the 31 deltas are wrapping ``uint32``
+  subtractions into a private ``(33, 4096)`` uint32 array, a 32×32
+  bit-matrix transpose (five masked shift/xor stages, Hacker's Delight
+  §7-3) turns them into planes 0–31, and plane 32 is the subtraction's
+  borrow.  The per-plane cost table is ``uint8`` and zero runs are
+  counted by popcount on a packed 33-bit zero-plane mask, so the
+  temporaries of a pass total a few MB whatever the batch size.
 
 Code table for DBX planes (prefix-free):
 
@@ -53,6 +60,19 @@ _PLANE_MASK = (1 << _NUM_DELTAS) - 1  # 31-bit planes
 _DELTA_MASK = (1 << _NUM_PLANES) - 1  # 33-bit two's-complement deltas
 _RAW_BITS = MEMORY_ENTRY_BYTES * 8  # 1024
 
+# Stages of the 32x32 bit-matrix transpose: (sub-block width, mask of
+# the low sub-block's bits in each word).
+_TRANSPOSE_STAGES = (
+    (16, 0x0000FFFF),
+    (8, 0x00FF00FF),
+    (4, 0x0F0F0F0F),
+    (2, 0x33333333),
+    (1, 0x55555555),
+)
+# Blocks per pass of the size-only kernel: its plane-major uint32 and
+# uint8 temporaries (about 0.5 MB each) then stay in a core's cache.
+_CHUNK_BLOCKS = 4096
+
 # Base-word payload widths for the sign-extended classes.
 _BASE_CLASSES = ((0b001, 4), (0b010, 8), (0b011, 16))
 
@@ -61,17 +81,6 @@ def _signed_fits(value: int, bits: int) -> bool:
     """Whether a signed integer fits in ``bits`` two's-complement bits."""
     bound = 1 << (bits - 1)
     return -bound <= value < bound
-
-
-def _base_cost_bits(word: int) -> int:
-    """Encoded size of the base word under the base code table."""
-    signed = word - (1 << 32) if word >> 31 else word
-    if signed == 0:
-        return 3
-    for _, width in _BASE_CLASSES:
-        if _signed_fits(signed, width):
-            return 3 + width
-    return 1 + 32
 
 
 def _dbp_planes(words: np.ndarray) -> list[int]:
@@ -282,54 +291,98 @@ class BPCCompressor(CompressionAlgorithm):
     # -- vectorised helpers ----------------------------------------------
     @staticmethod
     def _stream_bits_vectorised(blocks: np.ndarray) -> np.ndarray:
-        """Encoded bit count (incl. 1 flag bit) per block, before capping."""
-        n = blocks.shape[0]
-        words = blocks.astype(np.int64)
-        deltas = (words[:, 1:] - words[:, :-1]) & _DELTA_MASK  # (n, 31) uint-ish
+        """Encoded bit count (incl. 1 flag bit) per block, before capping.
 
-        # Build the 33 planes as 31-bit integers, one matrix op per plane.
-        weights = (1 << np.arange(_NUM_DELTAS, dtype=np.int64))
-        dbp = np.empty((n, _NUM_PLANES), dtype=np.int64)
-        for bit in range(_NUM_PLANES):
-            dbp[:, bit] = (((deltas >> bit) & 1) * weights).sum(axis=1)
-        dbx = dbp.copy()
-        dbx[:, :-1] ^= dbp[:, 1:]
+        Runs :func:`_chunk_stream_bits` on ``_CHUNK_BLOCKS`` blocks at a time.
+        """
+        return np.concatenate(
+            [
+                _chunk_stream_bits(blocks[start : start + _CHUNK_BLOCKS])
+                for start in range(0, blocks.shape[0], _CHUNK_BLOCKS)
+            ]
+        )
 
-        # Per-plane cost for every non-zero-run case.
-        popcount = np.bitwise_count(dbx.astype(np.uint64)).astype(np.int64)
-        low_bit = dbx & -dbx
-        two_consecutive = (popcount == 2) & (dbx == (low_bit | (low_bit << 1)))
-        plane_cost = np.full((n, _NUM_PLANES), 32, dtype=np.int64)
-        plane_cost[popcount == 1] = 10
-        plane_cost[two_consecutive] = 10
-        plane_cost[(dbx != 0) & (dbp == 0)] = 5
-        plane_cost[dbx == _PLANE_MASK] = 5
-        # A single zero plane costs 2; zero runs are handled below.
-        plane_cost[dbx == 0] = 2
 
-        # Zero-run accounting, scanning planes top-down as the encoder does:
-        # a maximal run of r >= 2 zero planes is coded in 8 bits, replacing
-        # the r * 2 bits counted above (costlier for r < 4, cheaper after).
-        total = plane_cost.sum(axis=1)
-        zero = dbx == 0
-        run = np.zeros(n, dtype=np.int64)
-        for bit in range(_NUM_PLANES - 1, -1, -1):
-            run = np.where(zero[:, bit], run + 1, 0)
-            if bit == 0:
-                ended = run
-            else:
-                ended = np.where(zero[:, bit - 1], 0, run)
-            total += np.where(ended >= 2, 8 - 2 * ended, 0)
+def _bulk_planes(blocks: np.ndarray) -> np.ndarray:
+    """The 33 delta bit-planes of ``(n, 32)`` uint32 blocks, ``(n, 33)`` uint32.
 
-        base = words[:, 0]
-        signed = np.where(base >> 31, base - (1 << 32), base)
-        base_cost = np.full(n, 33, dtype=np.int64)
-        base_cost[(signed >= -(1 << 15)) & (signed < (1 << 15))] = 19
-        base_cost[(signed >= -(1 << 7)) & (signed < (1 << 7))] = 11
-        base_cost[(signed >= -(1 << 3)) & (signed < (1 << 3))] = 7
-        base_cost[signed == 0] = 3
+    Row ``k`` equals ``_dbp_planes(blocks[k])``.  The result is the
+    transposed view of a fresh plane-major ``(33, n)`` array; the
+    caller's blocks are only read.
+    """
+    n = blocks.shape[0]
+    words = blocks.T
+    planes = np.empty((_NUM_PLANES, n), dtype=np.uint32)
+    # The low 32 bits of each 33-bit delta are the wrapping uint32
+    # difference.  Row 31 is zero, completing a 32x32 bit matrix whose
+    # row i, bit b is bit b of delta i.
+    np.subtract(words[1:], words[:-1], out=planes[:_NUM_DELTAS])
+    planes[_NUM_DELTAS] = 0
+    # Transpose that matrix in place (Hacker's Delight 7-3, LSB-first):
+    # each stage swaps the off-diagonal width x width sub-blocks of
+    # every 2*width x 2*width block, so plane b, bit i = delta i, bit b.
+    square = planes[:WORDS_PER_ENTRY]
+    for width, mask in _TRANSPOSE_STAGES:
+        pairs = square.reshape(WORDS_PER_ENTRY // (2 * width), 2, width, n)
+        low, high = pairs[:, 0], pairs[:, 1]
+        swap = low >> width
+        swap ^= high
+        swap &= mask
+        high ^= swap
+        swap <<= width
+        low ^= swap
+    # Plane 32, the delta's sign bit, is the borrow of the subtraction.
+    borrow = np.packbits(words[1:] < words[:-1], axis=0, bitorder="little")
+    planes[_NUM_PLANES - 1] = np.ascontiguousarray(borrow.T).view("<u4")[:, 0]
+    return planes.T
 
-        return 1 + base_cost + total
+
+def _chunk_stream_bits(blocks: np.ndarray) -> np.ndarray:
+    """Encoded bit count per block of one chunk, plane-major throughout."""
+    n = blocks.shape[0]
+    dbp = _bulk_planes(blocks).T
+    dbx = dbp.copy()
+    dbx[:-1] ^= dbp[1:]
+
+    # Bits each plane saves against the 32-bit uncompressed code; where
+    # several patterns match, the encoder takes the cheapest code.
+    low_bit = ~dbx
+    low_bit += 1
+    low_bit &= dbx
+    one_or_two = dbx == low_bit  # a single one (or zero, overridden below)
+    one_or_two |= dbx == low_bit * np.uint32(3)  # two consecutive ones
+    five_bit = dbp == 0  # the 5-bit codes: DBP == 0 or all ones
+    five_bit |= dbx == _PLANE_MASK
+    zero = dbx == 0
+    saved = one_or_two.view(np.uint8) * np.uint8(32 - 10)
+    np.maximum(saved, five_bit.view(np.uint8) * np.uint8(32 - 5), out=saved)
+    np.maximum(saved, zero.view(np.uint8) * np.uint8(32), out=saved)
+    total = 32 * _NUM_PLANES - saved.sum(axis=0, dtype=np.int64)
+
+    # Zero planes, packed into a 33-bit mask Z: a maximal run of r >= 2
+    # zero planes costs 8 bits and a lone zero plane 2.  Each run starts
+    # at a set bit of Z & ~(Z << 1); a lone plane also has no zero above.
+    zero_bytes = np.zeros((n, 8), dtype=np.uint8)
+    zero_bytes[:, :5] = np.packbits(zero, axis=0, bitorder="little").T
+    z = zero_bytes.view("<u8")[:, 0]
+    starts = z & ~(z << 1)
+    lone = starts & ~(z >> 1)
+    total += 8 * np.bitwise_count(starts).astype(np.int64)
+    total -= 6 * np.bitwise_count(lone).astype(np.int64)
+
+    # Base word: 3 bits for zero, 7/11/19 for the 4/8/16-bit signed
+    # classes, 33 raw.  It fits w signed bits when its magnitude (the
+    # word, or its complement if negative) is below 2**(w-1).
+    base = blocks[:, 0].view(np.int32)
+    magnitude = (base ^ (base >> 31)).view(np.uint32)
+    base_cost = (
+        33
+        - 14 * (magnitude < 1 << 15)
+        - 8 * (magnitude < 1 << 7)
+        - 4 * (magnitude < 1 << 3)
+        - 4 * (base == 0)
+    )
+    return 1 + base_cost + total
 
 
 #: Sentinel used by the decoder for planes known to have DBP == 0.

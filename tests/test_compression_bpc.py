@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.bpc import (
+    _CHUNK_BLOCKS,
+    _PLANE_MASK,
     BPCCompressor,
+    _bulk_planes,
     _dbp_planes,
     _dbx_planes,
     _is_two_consecutive_ones,
@@ -115,6 +118,171 @@ class TestVectorisedSizes:
         data = rng.random(4096, dtype=np.float32) * 1e9
         ratio = BPC.compression_ratio(data)
         assert ratio < 1.2
+
+
+def _from_dbx(dbx: dict[int, int], base: int = 0) -> np.ndarray:
+    """A block whose DBX planes are ``dbx`` (plane -> 31-bit value).
+
+    Planes below 24 only, so every delta stays positive and below
+    2**24 and the words never wrap: the block's own planes are exactly
+    the ones asked for.
+    """
+    dbp, acc = {}, 0
+    for bit in range(23, -1, -1):
+        acc ^= dbx.get(bit, 0)
+        dbp[bit] = acc
+    deltas = [
+        sum(((plane >> i) & 1) << bit for bit, plane in dbp.items())
+        for i in range(WORDS_PER_ENTRY - 1)
+    ]
+    return (base + np.concatenate([[0], np.cumsum(deltas)])).astype(np.uint32)
+
+
+def _zero_runs(dbx: list[int]) -> list[int]:
+    """Lengths of the maximal runs of zero DBX planes."""
+    runs, run = [], 0
+    for plane in dbx:
+        if plane == 0:
+            run += 1
+        elif run:
+            runs.append(run)
+            run = 0
+    return runs + [run] if run else runs
+
+
+_NOISE = 0x2345_6789 & _PLANE_MASK
+
+#: Blocks that hit each branch of the plane code and each zero-run
+#: boundary, including the borrow plane 32.
+ADVERSARIAL_BLOCKS = [
+    # Descending ramps: negative deltas set the high planes and plane 32.
+    *(
+        (start - step * np.arange(WORDS_PER_ENTRY, dtype=np.int64)).astype(np.uint32)
+        for start, step in ((0xFFFF_FFFF, 1), (1000, 3), (0x8000_0000, 0x0400_0001))
+    ),
+    # 0 / 0xFFFFFFFF alternation: deltas of +-(2**32 - 1) set plane 32
+    # and make DBX plane 31 all ones.
+    np.tile(np.array([0, 0xFFFF_FFFF], dtype=np.uint32), 16),
+    np.tile(np.array([0xFFFF_FFFF, 0], dtype=np.uint32), 16),
+    # All-ones DBX planes.
+    _from_dbx({0: _PLANE_MASK}),
+    _from_dbx({4: _PLANE_MASK, 9: _NOISE}),
+    # Single one and two consecutive ones at positions 0 and 30.
+    _from_dbx({0: 1}),
+    _from_dbx({0: 1 << 30}),
+    _from_dbx({7: 1, 12: 1 << 30}),
+    _from_dbx({0: 0b11}),
+    _from_dbx({3: 0b11 << 29}),
+    _from_dbx({5: 0b11, 6: 0b11 << 29}),
+    # DBX != 0 while DBP == 0.
+    _from_dbx({3: 0b1011, 4: 0b1011}),
+    # Zero runs of exactly 1, 2 and 3 planes, at the bottom and inside.
+    _from_dbx({1: _NOISE}),
+    _from_dbx({0: _NOISE, 2: _NOISE}),
+    _from_dbx({0: _NOISE, 3: _NOISE}),
+    _from_dbx({0: _NOISE, 4: _NOISE, 8: _NOISE}),
+    _from_dbx({2: _NOISE, 3: 5, 5: 0b11, 9: 1 << 30}, base=0x7FFF),
+    # A run of all 33 planes: constant blocks whose base words sit on
+    # both sides of every base-code class boundary.
+    *(
+        np.full(WORDS_PER_ENTRY, value & 0xFFFF_FFFF, dtype=np.uint32)
+        for width in (4, 8, 16)
+        for value in (
+            (1 << (width - 1)) - 1,
+            1 << (width - 1),
+            -(1 << (width - 1)),
+            -(1 << (width - 1)) - 1,
+        )
+    ),
+    np.zeros(WORDS_PER_ENTRY, dtype=np.uint32),
+    np.full(WORDS_PER_ENTRY, 0xFFFF_FFFF, dtype=np.uint32),
+]
+
+
+def test_adversarial_blocks_cover_every_case():
+    """Guards the batch below: each targeted pattern really occurs."""
+    dbps = [_dbp_planes(block) for block in ADVERSARIAL_BLOCKS]
+    dbxs = [_dbx_planes(dbp) for dbp in dbps]
+    assert any(dbp[32] for dbp in dbps)
+    assert any(dbp[32] == 0x5555_5555 & _PLANE_MASK for dbp in dbps)
+    planes = [(b, p) for dbx in dbxs for b, p in enumerate(dbx)]
+    assert {b for b, p in planes if p == _PLANE_MASK} >= {0, 4, 31}
+    for pattern in (1, 1 << 30, 0b11, 0b11 << 29):
+        assert any(p == pattern for _, p in planes), pattern
+    assert any(
+        dbx[b] != 0 and dbp[b] == 0
+        for dbp, dbx in zip(dbps, dbxs)
+        for b in range(33)
+    )
+    runs = {run for dbx in dbxs for run in _zero_runs(dbx)}
+    assert runs >= {1, 2, 3, 33}
+
+
+@pytest.mark.parametrize("size", [1, 2, 31, 33, 1000, _CHUNK_BLOCKS + 1])
+def test_adversarial_batches_match_scalar(size):
+    rng = np.random.default_rng(size)
+    pool = ADVERSARIAL_BLOCKS + list(
+        rng.integers(0, 2**32, (8, WORDS_PER_ENTRY), dtype=np.uint64).astype(np.uint32)
+    )
+    expected_pool = np.array([BPC.compressed_size(block) for block in pool])
+    # Stream lengths too: a one-bit error need not change a byte size.
+    expected_bits = np.array([BPC.encode(block).bit_length for block in pool])
+    picks = rng.integers(0, len(pool), size)
+    batch = np.stack([pool[i] for i in picks])
+    np.testing.assert_array_equal(BPC.compressed_sizes(batch), expected_pool[picks])
+    # encode stores an entry raw (1 + 1024 bits) once coding is no shorter.
+    bits = np.minimum(BPC._stream_bits_vectorised(batch), 1 + 8 * MEMORY_ENTRY_BYTES)
+    np.testing.assert_array_equal(bits, expected_bits[picks])
+
+
+class TestBulkPlanes:
+    @given(
+        st.lists(st.one_of(blocks_strategy, structured_blocks), min_size=1, max_size=40)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_scalar_planes(self, blocks):
+        planes = _bulk_planes(np.stack(blocks))
+        assert planes.shape == (len(blocks), 33)
+        assert planes.dtype == np.uint32
+        for row, block in zip(planes, blocks):
+            assert [int(p) for p in row] == _dbp_planes(block)
+
+    def test_adversarial_rows_and_borrow_plane(self):
+        planes = _bulk_planes(np.stack(ADVERSARIAL_BLOCKS))
+        for row, block in zip(planes, ADVERSARIAL_BLOCKS):
+            assert [int(p) for p in row] == _dbp_planes(block)
+        # Alternating 0 / 0xFFFFFFFF: every odd delta is negative.
+        alternating = np.tile(np.array([0, 0xFFFF_FFFF], dtype=np.uint32), 16)
+        assert int(_bulk_planes(alternating[None])[0, 32]) == 0x2AAA_AAAA
+
+
+class TestInputSafety:
+    @staticmethod
+    def _blocks() -> np.ndarray:
+        rng = np.random.default_rng(5)
+        blocks = rng.integers(0, 1 << 12, (257, WORDS_PER_ENTRY), dtype=np.uint32)
+        blocks[: len(ADVERSARIAL_BLOCKS)] = np.stack(ADVERSARIAL_BLOCKS)
+        return blocks
+
+    def test_caller_array_unchanged(self):
+        blocks = self._blocks()
+        before = blocks.tobytes()
+        BPC.compressed_sizes(blocks)
+        assert blocks.tobytes() == before
+
+    def test_non_contiguous_view(self):
+        view = self._blocks()[::2]
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(
+            BPC.compressed_sizes(view),
+            BPC.compressed_sizes(np.ascontiguousarray(view)),
+        )
+
+    def test_read_only_array(self):
+        blocks = self._blocks()
+        expected = BPC.compressed_sizes(blocks.copy())
+        blocks.setflags(write=False)
+        np.testing.assert_array_equal(BPC.compressed_sizes(blocks), expected)
 
 
 class TestTransforms:
