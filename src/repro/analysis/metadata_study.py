@@ -1,8 +1,10 @@
 """Fig. 5b: metadata cache hit rate versus total cache size.
 
-The study replays each benchmark's demand-miss metadata stream —
-derived from its synthetic trace — through metadata caches of
-increasing capacity.  At a larger footprint scale than the timing
+The study runs each benchmark's demand-miss metadata stream — derived
+from its synthetic trace — against metadata caches of increasing
+capacity.  Each capacity is one exact LRU stack-distance histogram
+over the stream's per-set order (:mod:`repro.core.stack_distance`),
+not a line-by-line replay.  At a larger footprint scale than the timing
 runs (metadata capacity only matters relative to footprint), the
 strided large-footprint codes (351.palm, 355.seismic) stay below the
 streaming and small-footprint benchmarks, reproducing the paper's
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metadata_cache import MetadataCache
+from repro.core.metadata_cache import CacheStats, MetadataCache
+from repro.core.stack_distance import stack_distance_histogram
 from repro.gpusim.trace import Op
-from repro.units import KIB, MEMORY_ENTRY_BYTES
+from repro.units import ENTRIES_PER_METADATA_LINE, KIB, MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace
 
@@ -31,7 +34,7 @@ class MetadataStudyRow:
     hit_rates: dict[int, float]  # cache bytes -> hit rate
 
 
-def metadata_access_stream(benchmark: str, config: TraceConfig) -> list[int]:
+def metadata_access_stream(benchmark: str, config: TraceConfig) -> np.ndarray:
     """Per-access metadata entry indices, in interleaved warp order.
 
     Derived straight from the trace's columnar representation: memory
@@ -44,7 +47,7 @@ def metadata_access_stream(benchmark: str, config: TraceConfig) -> list[int]:
     col = trace.columnar()
     memory_rows = np.flatnonzero(col.ops != int(Op.COMPUTE))
     if memory_rows.size == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     entries = col.a[memory_rows] // MEMORY_ENTRY_BYTES
     # Each memory row's warp, and its rank inside that warp's stream.
     starts = col.warp_starts
@@ -56,7 +59,7 @@ def metadata_access_stream(benchmark: str, config: TraceConfig) -> list[int]:
     # Round-robin across warps approximates the issue interleaving:
     # position-major, warp-age-minor.
     order = np.lexsort((row_warp, position))
-    return entries[order].tolist()
+    return entries[order]
 
 
 def metadata_row(
@@ -68,13 +71,15 @@ def metadata_row(
     trace_config = trace_config or TraceConfig(
         snapshot_config=SnapshotConfig(scale=1.0 / 2048)
     )
-    stream = metadata_access_stream(benchmark, trace_config)
+    lines = (
+        metadata_access_stream(benchmark, trace_config) // ENTRIES_PER_METADATA_LINE
+    )
     hit_rates = {}
     for size in sizes:
         cache = MetadataCache(size, ways=2, slices=2)
-        for entry in stream:
-            cache.access_entry(entry)
-        hit_rates[size] = cache.stats.hit_rate
+        hist, _ = stack_distance_histogram(lines, cache.set_index(lines))
+        hits = int(hist[: cache.ways].sum())
+        hit_rates[size] = CacheStats(hits, lines.size - hits).hit_rate
     return MetadataStudyRow(benchmark, hit_rates)
 
 
@@ -115,7 +120,7 @@ def run_metadata_study(
 
 
 def format_metadata_table(rows: list[MetadataStudyRow]) -> str:
-    sizes = sorted(next(iter(rows)).hit_rates)
+    sizes = sorted(rows[0].hit_rates) if rows else []
     header = f"{'benchmark':14s} " + " ".join(
         f"{size // KIB:>4d}K" for size in sizes
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.um.oversubscription import UMConfig, UMResult, run_um_study
+from repro.um.oversubscription import UMConfig, UMResult, um_curve
 
 #: The paper's Fig. 12 benchmarks and sweep.
 FIG12_BENCHMARKS = ("360.ilbdc", "356.sp", "351.palm")
@@ -26,7 +26,7 @@ def um_benchmark_curve(
     config: UMConfig | None = None,
 ) -> list[UMResult]:
     """One benchmark's oversubscription curve (the engine's point unit)."""
-    return run_um_study((benchmark,), tuple(levels), config)
+    return um_curve(benchmark, levels, config)
 
 
 def fig12_curves(config: UMConfig | None = None, runner=None) -> list[UMResult]:

@@ -13,7 +13,9 @@ The engine follows the paper's flow end to end:
    the split device/buddy layout: GBBR-relative carve-out addressing,
    page-table extension bits and the 4-bit-per-entry size metadata.
 4. :mod:`repro.core.metadata_cache` models the sliced metadata cache
-   (Fig. 5b).
+   (Fig. 5b), and :mod:`repro.core.stack_distance` computes the exact
+   LRU stack-distance histograms that size it (and the Fig. 12
+   Unified Memory residency) in one pass per stream.
 5. :mod:`repro.core.controller` ties it together: profile → annotate →
    place → measure compression ratio and buddy traffic on the
    reference run (Figs. 7, 8, 9).

@@ -51,6 +51,11 @@ class MetadataCache:
     def __init__(
         self, total_bytes: int = 64 * 1024, ways: int = 4, slices: int = 8
     ) -> None:
+        if total_bytes <= 0 or ways < 1 or slices < 1:
+            raise ValueError(
+                f"metadata cache needs a positive size, ways and slices; "
+                f"got {total_bytes} B, {ways} ways, {slices} slices"
+            )
         if total_bytes % (ways * slices * LINE_BYTES):
             raise ValueError(
                 f"{total_bytes} bytes not divisible into {slices} slices "
@@ -60,11 +65,21 @@ class MetadataCache:
         self.ways = ways
         self.slices = slices
         self.sets_per_slice = total_bytes // (ways * slices * LINE_BYTES)
-        # sets[slice][set] -> list of tags, most recent last
-        self._sets: list[list[list[int]]] = [
-            [[] for _ in range(self.sets_per_slice)] for _ in range(slices)
+        # sets[set_index(line)] -> list of tags, most recent last
+        self._sets: list[list[int]] = [
+            [] for _ in range(slices * self.sets_per_slice)
         ]
         self.stats = CacheStats()
+
+    def set_index(self, line):
+        """Slice-major set of a metadata line (elementwise on arrays).
+
+        Lines interleave across slices by line address, then across
+        the sets of their slice.
+        """
+        slice_index = line % self.slices
+        set_in_slice = (line // self.slices) % self.sets_per_slice
+        return slice_index * self.sets_per_slice + set_in_slice
 
     def access_entry(self, entry_index: int) -> bool:
         """Access the metadata for a memory-entry; returns hit."""
@@ -73,10 +88,8 @@ class MetadataCache:
 
     def access_line(self, line: int) -> bool:
         """Access a metadata line by line index; returns hit."""
-        slice_index = line % self.slices
-        set_index = (line // self.slices) % self.sets_per_slice
         tag = line // (self.slices * self.sets_per_slice)
-        ways = self._sets[slice_index][set_index]
+        ways = self._sets[self.set_index(line)]
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
@@ -93,7 +106,6 @@ class MetadataCache:
 
     def flush(self) -> None:
         """Invalidate all lines and reset statistics."""
-        for slice_sets in self._sets:
-            for ways in slice_sets:
-                ways.clear()
+        for ways in self._sets:
+            ways.clear()
         self.reset_stats()

@@ -345,6 +345,7 @@ register(
             "repro.core.metadata_cache",
             "repro.core.profile_tensor",
             "repro.core.profiler",
+            "repro.core.stack_distance",
             "repro.gpusim.trace",
             "repro.workloads.traces",
         ),
@@ -530,8 +531,8 @@ register(
             "repro.rng",
             "repro.units",
             "repro.analysis.um_study",
+            "repro.core.stack_distance",
             "repro.um.oversubscription",
-            "repro.um.pages",
             "repro.workloads.catalog",
         ),
     )

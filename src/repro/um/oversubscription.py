@@ -8,7 +8,10 @@ host access, catastrophically so for the random-access 360.ilbdc.
 
 The model reproduces the mechanism.  A benchmark's page-access stream
 (derived from its catalog access character) runs against an LRU
-residency set sized by the forced oversubscription:
+residency set sized by the forced oversubscription.  One exact LRU
+stack-distance histogram of the stream (:mod:`repro.core.stack_distance`)
+gives the fault count at every residency size, so a whole
+oversubscription curve costs one pass over the stream:
 
 * each fault serialises through the driver (tens of microseconds) and
   migrates a whole 64 KB page over the interconnect;
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import rng as rng_lib
-from repro.um.pages import ResidencySet
+from repro.core.stack_distance import stack_distance_histogram
 from repro.workloads.catalog import AccessPattern, get_benchmark
 
 #: UM migration granularity (bytes).
@@ -106,38 +109,52 @@ def _page_stream(benchmark: str, config: UMConfig) -> np.ndarray:
     return np.concatenate(sweeps)
 
 
-def um_slowdown(
-    benchmark: str, oversubscription: float, config: UMConfig | None = None
-) -> UMResult:
-    """Runtime ratio of UM migration vs the fully resident baseline."""
+def um_curve(
+    benchmark: str, oversubscriptions, config: UMConfig | None = None
+) -> list[UMResult]:
+    """Runtime ratios of UM migration vs the fully resident baseline,
+    one per oversubscription level, from one pass over the stream."""
     config = config or UMConfig()
-    if not 0.0 <= oversubscription < 1.0:
-        raise ValueError(f"oversubscription {oversubscription} outside [0, 1)")
+    oversubscriptions = tuple(oversubscriptions)
+    for level in oversubscriptions:
+        if not 0.0 <= level < 1.0:
+            raise ValueError(f"oversubscription {level} outside [0, 1)")
     stream = _page_stream(benchmark, config)
+    hist, _ = stack_distance_histogram(stream)
     migration_ns = PAGE_BYTES / (config.link_gbps * 1e9) * 1e9
     fault_ns = config.fault_us * 1e3 / config.fault_batch + migration_ns
 
     def runtime(level: float) -> tuple[float, float]:
         capacity = max(1, int(config.footprint_pages * (1.0 - level)))
-        residency = ResidencySet(capacity)
-        for page in stream:
-            residency.touch(int(page))
-        total = stream.size * config.access_ns + residency.faults * fault_ns
-        return total, residency.fault_rate
+        faults = stream.size - int(hist[:capacity].sum())
+        total = stream.size * config.access_ns + faults * fault_ns
+        return total, faults / stream.size
 
     # Normalise to the 0 %-oversubscription run, which still pays the
     # cold-start migration — exactly what "runtime relative to
     # original" means in the paper's measurement.
     baseline, _ = runtime(0.0)
-    total, fault_rate = runtime(oversubscription)
+    pinned = pinned_slowdown(benchmark, config)
+    results = []
+    for level in oversubscriptions:
+        total, fault_rate = runtime(level)
+        results.append(
+            UMResult(
+                benchmark=benchmark,
+                oversubscription=level,
+                um_slowdown=total / baseline,
+                pinned_slowdown=pinned,
+                fault_rate=fault_rate,
+            )
+        )
+    return results
 
-    return UMResult(
-        benchmark=benchmark,
-        oversubscription=oversubscription,
-        um_slowdown=total / baseline,
-        pinned_slowdown=pinned_slowdown(benchmark, config),
-        fault_rate=fault_rate,
-    )
+
+def um_slowdown(
+    benchmark: str, oversubscription: float, config: UMConfig | None = None
+) -> UMResult:
+    """Runtime ratio of UM migration vs the fully resident baseline."""
+    return um_curve(benchmark, (oversubscription,), config)[0]
 
 
 def pinned_slowdown(benchmark: str, config: UMConfig | None = None) -> float:
@@ -161,9 +178,8 @@ def run_um_study(
     config: UMConfig | None = None,
 ) -> list[UMResult]:
     """The Fig. 12 sweep."""
-    config = config or UMConfig()
     return [
-        um_slowdown(benchmark, level, config)
+        row
         for benchmark in benchmarks
-        for level in oversubscriptions
+        for row in um_curve(benchmark, oversubscriptions, config)
     ]

@@ -1,4 +1,9 @@
-"""Page residency tracking for the Unified Memory model."""
+"""Page residency tracking for the Unified Memory model.
+
+The Fig. 12 model reads its fault counts from an LRU stack-distance
+histogram (:func:`repro.um.oversubscription.um_curve`); this scalar
+set is the reference the tests hold that histogram to.
+"""
 
 from __future__ import annotations
 

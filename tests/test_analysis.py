@@ -9,7 +9,7 @@ from repro.analysis.compression_study import (
     render_heatmap,
     suite_gmean,
 )
-from repro.analysis.metadata_study import run_metadata_study
+from repro.analysis.metadata_study import format_metadata_table, run_metadata_study
 from repro.analysis.perf_study import run_perf_study
 from repro.analysis.report import gmean, paper_vs_measured, table
 from repro.cli import main
@@ -111,6 +111,9 @@ class TestMetadataStudy:
         )
         rates = rows[0].hit_rates
         assert rates[8 * KIB] >= rates[1 * KIB]
+
+    def test_empty_table_is_its_header(self):
+        assert format_metadata_table([]).split() == ["benchmark"]
 
 
 class TestPerfStudySmall:

@@ -208,6 +208,16 @@ class TestMetadataCache:
         with pytest.raises(ValueError, match="not divisible"):
             MetadataCache(total_bytes=1000, ways=3, slices=7)
 
+    @pytest.mark.parametrize(
+        "total_bytes, ways, slices",
+        [(0, 4, 1), (-4096, 4, 1), (4096, 0, 1), (4096, 4, 0), (4096, -1, 1)],
+    )
+    def test_rejects_empty_geometry(self, total_bytes, ways, slices):
+        """A cache without capacity, ways or slices is refused up
+        front, not by a ZeroDivisionError on first access."""
+        with pytest.raises(ValueError, match="positive"):
+            MetadataCache(total_bytes=total_bytes, ways=ways, slices=slices)
+
     def test_flush(self):
         cache = MetadataCache(total_bytes=4096, ways=4, slices=1)
         cache.access_line(0)
