@@ -3,17 +3,13 @@
 Sweeps bandwidth-only compression and Buddy Compression across
 interconnect bandwidths of 50/100/150/200 GB/s on all 16 benchmarks.
 
-The sweep runs on any of the three simulator engines (``--engine``
-axis below): the default vectorized batched-event core, the relaxed
-frozen-order tape engine, or the per-access legacy oracle.
-Vectorized and legacy produce identical datasets (the equivalence
-tests pin it); the relaxed engine is exact at the 150 GB/s reference
-interconnect and tolerance-pinned elsewhere
-(``tests/test_relaxed_sim.py``).  The speedup test at the bottom
-measures the wall-clock gap on the sweep's simulation hot path and
-asserts each fast engine's advantage — including the compiled event
-core's ≥2× floor over the pure-Python core when the extension is
-built.  Pass ``--json PATH`` to write the measured numbers as a
+The sweep runs on either simulator engine (``engine`` axis below):
+the default vectorized batched-event core or the per-access legacy
+oracle.  The two produce identical datasets (the equivalence tests
+pin it).  The speedup test at the bottom measures the wall-clock gap
+on the sweep's simulation hot path and asserts the vectorized
+engine's advantage — including the compiled event core's ≥2× floor
+over the pure-Python core when the extension is built.  Pass ``--json PATH`` to write the measured numbers as a
 trajectory artifact (see ``benchmarks/conftest.py``).
 """
 
@@ -39,11 +35,11 @@ SPEEDUP_BENCHMARKS = ("VGG16", "354.cg", "370.bt", "FF_Lulesh")
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["vectorized", "relaxed", "legacy"])
+@pytest.mark.parametrize("engine", ["vectorized", "legacy"])
 def test_fig11_performance(benchmark, runner, engine):
     result = benchmark.pedantic(
         run_perf_study,
-        kwargs={"trace_config": TRACE, "runner": runner, "engine": engine},
+        kwargs={"trace_config": TRACE, "runner": runner, "engine_spec": engine},
         rounds=1,
         iterations=1,
     )
@@ -81,21 +77,16 @@ def test_fig11_performance(benchmark, runner, engine):
 
 @pytest.mark.slow
 def test_fig11_engine_speedup(benchmark, bench_json):
-    """The fast cores' wall-clock advantage on the Fig. 11 grid.
+    """The vectorized core's wall-clock advantage on the Fig. 11 grid.
 
     Measures the sweep's simulation hot path — every (mode, link)
     point of several benchmarks, traces and compression states
-    prepared once and shared — for all three engines, asserts the
-    equivalence contracts, and pins the speedup floors.  The first
+    prepared once and shared — for both engines, asserts the
+    equivalence contract, and pins the speedup floors.  The first
     vectorized pass is fully cold (it performs the whole column
     resolution), so its *cold* ratio is what a fresh single-shot
     sweep sees and the assertion uses it — a column-build regression
-    cannot hide behind the memo.  The first relaxed pass runs after
-    vectorized has warmed the shared column memos, so its "cold"
-    ratio isolates the tape recording + replay cost on top of warm
-    columns; the relaxed assertion uses the *warm* (best-of-3) ratio,
-    because amortising the one exact-order recording across the link
-    sweep is exactly that engine's architecture.
+    cannot hide behind the memo.
 
     When the compiled event core is active, one extra vectorized leg
     runs under ``_event_core.force_python()`` and the compiled build
@@ -107,11 +98,9 @@ def test_fig11_engine_speedup(benchmark, bench_json):
     from repro.core.controller import BuddyCompressor, BuddyConfig
     from repro.core.targets import FINAL
     from repro.gpusim import (
-        REFERENCE_LINK_GBPS,
         CompressionMode,
         CompressionState,
         DependencyDrivenSimulator,
-        check_relaxed_contract,
         scaled_config,
     )
     from repro.gpusim import _event_core
@@ -162,13 +151,11 @@ def test_fig11_engine_speedup(benchmark, bench_json):
     def run():
         # Alternate engines over three passes, so a noisy neighbour
         # cannot skew any side.  Pass 0 of the vectorized engine is
-        # fully cold (whole column resolution); pass 0 of the relaxed
-        # engine records its tapes over the columns vectorized just
-        # warmed.
-        times = {"legacy": [], "vectorized": [], "relaxed": [], "python-core": []}
+        # fully cold (whole column resolution).
+        times = {"legacy": [], "vectorized": [], "python-core": []}
         results = {}
         for _ in range(3):
-            for engine in ("legacy", "vectorized", "relaxed"):
+            for engine in ("legacy", "vectorized"):
                 seconds, engine_results = sweep(engine)
                 times[engine].append(seconds)
                 results[engine] = engine_results
@@ -187,53 +174,33 @@ def test_fig11_engine_speedup(benchmark, bench_json):
     legacy_best = min(times["legacy"])
     vector_cold = legacy_best / times["vectorized"][0]
     vector_warm = legacy_best / min(times["vectorized"])
-    relaxed_cold = legacy_best / times["relaxed"][0]
-    relaxed_warm = legacy_best / min(times["relaxed"])
     print()
     print(
         f"fig11 grid ({len(results['legacy'])} sims): "
         f"legacy {legacy_best:.2f}s, "
         f"vectorized cold {times['vectorized'][0]:.2f}s / "
         f"warm {min(times['vectorized']):.2f}s -> "
-        f"{vector_cold:.2f}x cold, {vector_warm:.2f}x warm, "
-        f"relaxed cold {times['relaxed'][0]:.2f}s / "
-        f"warm {min(times['relaxed']):.2f}s -> "
-        f"{relaxed_cold:.2f}x cold, {relaxed_warm:.2f}x warm"
+        f"{vector_cold:.2f}x cold, {vector_warm:.2f}x warm"
     )
 
-    # The equivalence contracts hold at every grid point: vectorized
-    # is bit-identical to the oracle, relaxed is bit-identical at the
-    # reference interconnect and tolerance-pinned elsewhere.
-    points = [
-        machine for _, states in grid for machine, _ in states
-    ]
-    for machine, legacy_result, vector_result, relaxed_result in zip(
-        points, results["legacy"], results["vectorized"], results["relaxed"]
+    # The equivalence contract holds at every grid point: vectorized
+    # is bit-identical to the oracle.
+    for legacy_result, vector_result in zip(
+        results["legacy"], results["vectorized"]
     ):
         assert legacy_result.cycles == vector_result.cycles
         assert legacy_result.dram_bytes == vector_result.dram_bytes
         assert legacy_result.link_bytes == vector_result.link_bytes
         assert legacy_result.buddy_fills == vector_result.buddy_fills
         assert legacy_result.demand_fills == vector_result.demand_fills
-        check_relaxed_contract(
-            relaxed_result,
-            legacy_result,
-            exact=machine.link.bandwidth_gbps == REFERENCE_LINK_GBPS,
-        )
     # Speedup floors.  Vectorized on the pure-Python core: measured
     # ~2-2.5x cold and ~2.5-3x warm on the development machine; the
     # compiled event core lifts both well past these, and the floors
     # deliberately stay at the fallback's level so a fallback-only
-    # install does not regress below today's bar.  Relaxed: measured
-    # ~3x cold and ~15-20x warm (one recording per state, replay-only
-    # link points); the >=5x floor is the ROADMAP target the
-    # exact-order engines could not reach on the Python core.
-    # Conservative floors keep the assertions robust on shared CI
-    # runners.
+    # install does not regress below today's bar.  Conservative floors
+    # keep the assertions robust on shared CI runners.
     assert vector_cold >= 1.5
     assert vector_warm >= 2.0
-    assert relaxed_cold >= 1.2
-    assert relaxed_warm >= 5.0
 
     compiled_warm = None
     if _event_core.compiled_active():
@@ -259,126 +226,10 @@ def test_fig11_engine_speedup(benchmark, bench_json):
         legacy_s=legacy_best,
         vectorized_cold_s=times["vectorized"][0],
         vectorized_warm_s=min(times["vectorized"]),
-        relaxed_cold_s=times["relaxed"][0],
-        relaxed_warm_s=min(times["relaxed"]),
         vector_cold_x=vector_cold,
         vector_warm_x=vector_warm,
-        relaxed_cold_x=relaxed_cold,
-        relaxed_warm_x=relaxed_warm,
         python_core_warm_s=(
             min(times["python-core"]) if times["python-core"] else None
         ),
         compiled_over_python_warm_x=compiled_warm,
-    )
-
-
-@pytest.mark.slow
-def test_fig11_multi_link_replay_speedup(benchmark, bench_json):
-    """Batched multi-link replay vs the serial per-link replay loop.
-
-    Records one Fig. 11-geometry buddy tape, then replays a widened
-    link sweep two ways: the historical serial loop (one
-    ``replay_tape`` call per link) and one ``replay_tape_many`` pass
-    carrying per-link clock state.  The batched pass must return
-    bit-identical cycles per link, and — when the compiled event core
-    is active — beat the serial loop by ≥2× warm (one
-    parse/allocation amortised across the sweep and no per-link
-    Python dispatch).  On the NumPy fallback the ratio is reported
-    but not asserted: both paths are already vectorised there, so the
-    floor is the compiled core's claim.
-    """
-    from repro.core.controller import BuddyCompressor, BuddyConfig
-    from repro.core.targets import FINAL
-    from repro.gpusim import (
-        REFERENCE_LINK_GBPS,
-        CompressionMode,
-        CompressionState,
-        scaled_config,
-    )
-    from repro.gpusim import _event_core
-    from repro.gpusim.vector_sim import _resolve_tape, _replay_tape, _TAPE_MEMO
-    from repro.workloads.snapshots import SnapshotConfig
-    from repro.workloads.traces import generate_trace, layout_state
-
-    links = (25.0, 50.0, 75.0, 100.0, 200.0, 300.0, 600.0, 900.0)
-    config = scaled_config()
-    trace_config = TraceConfig(
-        sm_count=config.sm_count,
-        warps_per_sm=config.warps_per_sm,
-        memory_instructions_per_warp=64,
-    )
-    compressor = BuddyCompressor(
-        BuddyConfig(snapshot_config=SnapshotConfig(scale=1.0 / 65536))
-    )
-    trace = generate_trace("VGG16", trace_config)
-    layout = layout_state("VGG16", trace_config)
-    selection = compressor.select(compressor.profile("VGG16"), FINAL)
-    state = CompressionState.from_entry_state(
-        layout, selection, CompressionMode.BUDDY
-    )
-    _TAPE_MEMO.pop(trace, None)
-    tape, _reference = _resolve_tape(
-        trace, state, config.with_link(REFERENCE_LINK_GBPS), need_tape=True
-    )
-    _TAPE_MEMO.pop(trace, None)
-
-    iscalars = (tape.warp_count, tape.sm_count, tape.channels)
-    packs = []
-    for link in links:
-        link_config = config.with_link(link)
-        packs.append(
-            (
-                link_config.issue_interval,
-                float(link_config.dram_latency),
-                float(link_config.l2_latency),
-                link_config.link.bytes_per_cycle(link_config.clock_hz),
-                float(link_config.link.latency_cycles),
-                tape.fill_tail,
-            )
-        )
-
-    def run():
-        times = {"serial": [], "batched": []}
-        cycles = {}
-        for _ in range(5):
-            start = time.perf_counter()
-            cycles["serial"] = tuple(
-                _replay_tape(tape, config.with_link(link)) for link in links
-            )
-            times["serial"].append(time.perf_counter() - start)
-            start = time.perf_counter()
-            cycles["batched"] = tuple(
-                _event_core.replay_tape_many(
-                    tape.cols, tape.warp_mlp, iscalars, packs
-                )
-            )
-            times["batched"].append(time.perf_counter() - start)
-        return times, cycles
-
-    times, cycles = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert cycles["batched"] == cycles["serial"]  # bit-identical per link
-
-    serial_warm = min(times["serial"])
-    batched_warm = min(times["batched"])
-    speedup = serial_warm / batched_warm
-    core = "compiled" if _event_core.compiled_active() else "python"
-    print()
-    print(
-        f"multi-link replay ({tape.event_count} events x {len(links)} "
-        f"links, {core} core): serial {serial_warm * 1e3:.2f}ms, "
-        f"batched {batched_warm * 1e3:.2f}ms -> {speedup:.2f}x"
-    )
-    if _event_core.compiled_active():
-        # The tentpole floor: one batched pass is >=2x the serial
-        # per-link replay loop on the compiled core (measured ~2.5-4x
-        # at 8 links on the development machine).
-        assert speedup >= 2.0
-
-    bench_json.record(
-        "fig11_multi_link_replay",
-        tape_events=tape.event_count,
-        links=len(links),
-        serial_warm_s=serial_warm,
-        batched_warm_s=batched_warm,
-        batched_over_serial_x=speedup,
     )

@@ -9,7 +9,7 @@ the training-throughput gain of the larger batch (paper Fig. 13c:
 
 The per-network ratios execute through the :mod:`repro.api` facade
 (pass --workers / --cache-dir / --no-cache), sharing the result cache
-with ``repro run dl.ratios`` and ``repro fig13``.
+with ``repro run dl.ratios`` and ``repro run dl.fig13``.
 """
 
 import repro

@@ -25,7 +25,7 @@ import numpy as np
 from repro.gpusim.compression import CompressionState
 from repro.gpusim.config import scaled_config
 from repro.gpusim.reference import CycleSteppedReference
-from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.gpusim.simulator import DependencyDrivenSimulator, check_engine
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace
 
@@ -75,14 +75,11 @@ def correlation_point(
     sm_count: int = 4,
     warps_per_sm: int = 6,
     engine: str = "vectorized",
-    verify: float = 0.0,
 ) -> CorrelationPoint:
     """Both simulators on one (benchmark, trace length) design point.
 
-    Cycle counts are deterministic (and identical across the fast
-    simulator's engines — the correlation points run IDEAL-mode
-    traces without host traffic, where even the relaxed engine is
-    provably exact); the wall-clock fields are measured fresh on
+    Cycle counts are deterministic (and bit-identical across the fast
+    simulator's engines); the wall-clock fields are measured fresh on
     every execution (a cached point keeps the timings of the run that
     produced it).
     """
@@ -100,7 +97,7 @@ def correlation_point(
     # (the speed-ratio column of Fig. 10's table); the correlated
     # cycle counts above them stay fully deterministic.
     start = time.perf_counter()  # repro: allow[det-time] informational timing, not a result
-    fast = DependencyDrivenSimulator(config, engine, verify).run(trace, state)
+    fast = DependencyDrivenSimulator(config, engine).run(trace, state)
     fast_seconds = time.perf_counter() - start  # repro: allow[det-time] informational timing, not a result
 
     start = time.perf_counter()  # repro: allow[det-time] informational timing, not a result
@@ -124,13 +121,6 @@ def fig10_plan(point: dict) -> list:
     every (benchmark, length) pair shares one per-entry layout, so the
     planner builds each benchmark's entry-state tensor once for the
     whole grid.
-
-    Grouping by tape key is *degenerate* here: the correlation points
-    run IDEAL-mode states at the machine's default (reference)
-    interconnect only, where the relaxed engine is the exact engine
-    and never records a tape — so no :class:`TapeSpec` is declared,
-    and a co-submitted fig10+fig11 sweep's tape count is exactly the
-    fig11 relaxed benchmarks'.
     """
     from repro.engine.planner import EntryStateSpec, TraceSpec
 
@@ -157,28 +147,22 @@ def run_correlation_study(
     benchmarks=DEFAULT_BENCHMARKS,
     instruction_scales=(6, 18),
     runner=None,
-    engine: str | None = None,
-    verify: float | None = None,
-    engine_spec=None,
+    engine_spec: str = "vectorized",
 ) -> CorrelationResult:
     """Run both simulators across benchmarks and trace lengths.
 
-    ``engine_spec`` (an :class:`repro.gpusim.engine_spec.EngineSpec`
-    or its string form) selects the fast simulator's core; the legacy
-    ``engine=`` / ``verify=`` kwargs still work but are deprecated.
+    ``engine_spec`` names the fast simulator's core (one of
+    :data:`repro.gpusim.simulator.ENGINES`).
     """
     from repro.engine.runner import ExperimentRunner
-    from repro.gpusim.engine_spec import EngineSpec
 
-    spec = EngineSpec.coerce(
-        engine_spec, engine=engine, verify=verify, where="run_correlation_study"
-    )
+    engine = check_engine(engine_spec)
     runner = runner or ExperimentRunner()
     return runner.run(
         "correlation.fig10",
         {
             "benchmarks": tuple(benchmarks),
             "instruction_scales": tuple(instruction_scales),
-            **spec.study_params(),
+            "engine": engine,
         },
     )

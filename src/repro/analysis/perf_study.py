@@ -21,13 +21,7 @@ from repro.core.controller import BuddyCompressor, BuddyConfig
 from repro.core.targets import FINAL
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig, scaled_config
-from repro.gpusim.simulator import DependencyDrivenSimulator
-from repro.gpusim.vector_sim import (
-    REFERENCE_LINK_GBPS,
-    ensure_tape,
-    replay_links,
-    tape_cache_key,
-)
+from repro.gpusim.simulator import DependencyDrivenSimulator, check_engine
 from repro.workloads.catalog import get_benchmark
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_state
@@ -35,20 +29,9 @@ from repro.workloads.traces import TraceConfig, generate_trace, layout_state
 #: The paper's interconnect sweep (GB/s, unidirectional full-duplex).
 LINK_SWEEP = (50.0, 100.0, 150.0, 200.0)
 
-
-def _normalize_point_inputs(config, trace_config, profile_config):
-    """The defaults one Fig. 11 point resolves its inputs with.
-
-    Shared by :func:`perf_benchmark_row`, :func:`prepare_tape` and
-    :func:`fig11_plan` so the tape cache key computed at plan time is
-    byte-identical to the one the point computes at run time.
-    """
-    config = config or scaled_config()
-    trace_config = trace_config or TraceConfig(
-        sm_count=config.sm_count, warps_per_sm=config.warps_per_sm
-    )
-    profile_config = profile_config or SnapshotConfig(scale=1.0 / 65536)
-    return config, trace_config, profile_config
+#: The six-brick NVLink2 point every Fig. 11 series is normalised
+#: against; its buddy run also reports the metadata hit rate.
+REFERENCE_LINK_GBPS = 150.0
 
 
 @dataclass
@@ -96,27 +79,20 @@ def perf_benchmark_row(
     link_sweep=LINK_SWEEP,
     profile_config: SnapshotConfig | None = None,
     engine: str = "vectorized",
-    verify: float = 0.0,
 ) -> BenchmarkPerf:
     """One benchmark's full Fig. 11 series (the engine's point unit).
 
     ``engine`` selects the simulator core: ``"vectorized"`` (default)
-    and ``"legacy"`` are equivalence-pinned, so between those two the
-    choice only affects wall-clock — the vectorized engine resolves
-    its accesses once per (trace, state) and shares the resolution
-    across the whole link sweep.  ``"relaxed"`` additionally freezes
-    the event *order* at the 150 GB/s reference interconnect and
-    replays it across the sweep: exact at 150 GB/s (the row every
-    figure normalises against), tolerance-pinned at the other link
-    points, and by far the fastest on warm sweeps (see
-    ``docs/engines.md``).  ``verify`` is the relaxed engine's escape
-    hatch: the fraction of simulator runs cross-checked against the
-    legacy oracle (a breach raises ``RelaxedVerificationError``); it
-    must stay 0.0 for the exact engines.
+    and ``"legacy"`` are bit-identical, so the choice only affects
+    wall-clock — the vectorized engine resolves its accesses once per
+    (trace, state) and shares the resolution across the whole link
+    sweep (see ``docs/engines.md``).
     """
-    config, trace_config, profile_config = _normalize_point_inputs(
-        config, trace_config, profile_config
+    config = config or scaled_config()
+    trace_config = trace_config or TraceConfig(
+        sm_count=config.sm_count, warps_per_sm=config.warps_per_sm
     )
+    profile_config = profile_config or SnapshotConfig(scale=1.0 / 65536)
     compressor = BuddyCompressor(BuddyConfig(snapshot_config=profile_config))
 
     trace = generate_trace(benchmark, trace_config)
@@ -127,13 +103,13 @@ def perf_benchmark_row(
     layout = layout_state(benchmark, trace_config)
     selection = compressor.select(compressor.profile(benchmark), FINAL)
 
-    ideal = DependencyDrivenSimulator(config, engine, verify).run(
+    ideal = DependencyDrivenSimulator(config, engine).run(
         trace, CompressionState.ideal(trace.footprint_bytes)
     )
     bandwidth_state = CompressionState.from_entry_state(
         layout, selection, CompressionMode.BANDWIDTH
     )
-    bandwidth = DependencyDrivenSimulator(config, engine, verify).run(
+    bandwidth = DependencyDrivenSimulator(config, engine).run(
         trace, bandwidth_state
     )
 
@@ -142,35 +118,13 @@ def perf_benchmark_row(
     )
     buddy = {}
     meta_hit = 0.0
-    if engine == "relaxed":
-        # The whole link sweep shares one frozen tape: resolve it once
-        # (through the persistent ``sim.tape`` cache / the planner's
-        # stage-0 preload when available) and replay every
-        # non-reference link in a single batched pass — bit-identical
-        # to looping the relaxed simulator over the sweep.
-        key = tape_cache_key(benchmark, trace_config, profile_config, config)
-        results = replay_links(
-            trace,
-            buddy_state,
-            config,
-            link_sweep,
-            verify=verify,
-            cache_key=key,
+    for link in link_sweep:
+        result = DependencyDrivenSimulator(config.with_link(link), engine).run(
+            trace, buddy_state
         )
-        for link, result in zip(link_sweep, results):
-            buddy[link] = ideal.cycles / result.cycles
-            if link == REFERENCE_LINK_GBPS:
-                meta_hit = result.metadata_hit_rate
-    else:
-        for link in link_sweep:
-            result = DependencyDrivenSimulator(
-                config.with_link(link), engine, verify
-            ).run(trace, buddy_state)
-            buddy[link] = ideal.cycles / result.cycles
-            if link == REFERENCE_LINK_GBPS:
-                # The 150 GB/s row: the paper's normalisation point and
-                # the relaxed engine's reference interconnect.
-                meta_hit = result.metadata_hit_rate
+        buddy[link] = ideal.cycles / result.cycles
+        if link == REFERENCE_LINK_GBPS:
+            meta_hit = result.metadata_hit_rate
 
     return BenchmarkPerf(
         benchmark=benchmark,
@@ -183,35 +137,6 @@ def perf_benchmark_row(
     )
 
 
-def prepare_tape(
-    benchmark: str,
-    config: GPUConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    profile_config: SnapshotConfig | None = None,
-) -> dict:
-    """Record-or-load the relaxed tape for one Fig. 11 design point.
-
-    The planner's stage-0 tape build: resolves exactly the inputs
-    :func:`perf_benchmark_row` would (same defaults, same buddy
-    selection), then routes the tape through
-    :func:`repro.gpusim.vector_sim.ensure_tape` — a persistent-cache
-    hit deserializes instead of re-recording.  Returns the tape
-    envelope so cacheless pools can ship it to point workers.
-    """
-    config, trace_config, profile_config = _normalize_point_inputs(
-        config, trace_config, profile_config
-    )
-    compressor = BuddyCompressor(BuddyConfig(snapshot_config=profile_config))
-    trace = generate_trace(benchmark, trace_config)
-    layout = layout_state(benchmark, trace_config)
-    selection = compressor.select(compressor.profile(benchmark), FINAL)
-    buddy_state = CompressionState.from_entry_state(
-        layout, selection, CompressionMode.BUDDY
-    )
-    key = tape_cache_key(benchmark, trace_config, profile_config, config)
-    return ensure_tape(key, trace, buddy_state, config)
-
-
 def fig11_plan(point: dict) -> list:
     """Shared dependency graph of one Fig. 11 design point.
 
@@ -219,25 +144,20 @@ def fig11_plan(point: dict) -> list:
     profiling scale; the trace generator and both compression states
     consume the per-entry state of the layout dump behind the trace
     config.  The trace itself is declared for statistics only — it is
-    cheap to regenerate from a warm entry-state tensor.  A relaxed
-    point whose sweep leaves the reference interconnect additionally
-    declares its recorded event tape (:class:`TapeSpec`), so
-    co-submitted sweeps record each ``(trace, state, geometry)`` tape
-    once in stage 0.
+    cheap to regenerate from a warm entry-state tensor.
     """
     from repro.compression.bpc import BPCCompressor
     from repro.engine.planner import (
         EntryStateSpec,
         ProfileTensorSpec,
         SnapshotsSpec,
-        TapeSpec,
         TraceSpec,
     )
 
     benchmark = point["benchmark"]
     profile_config = point["profile_config"].as_profile()
     trace_config = point["trace_config"]
-    specs = [
+    return [
         ProfileTensorSpec(benchmark, profile_config, BPCCompressor()),
         SnapshotsSpec(benchmark, profile_config),
         EntryStateSpec(
@@ -245,14 +165,6 @@ def fig11_plan(point: dict) -> list:
         ),
         TraceSpec(benchmark, trace_config),
     ]
-    if point["engine"] == "relaxed" and any(
-        float(link) != REFERENCE_LINK_GBPS for link in point["link_sweep"]
-    ):
-        config, norm_trace, norm_profile = _normalize_point_inputs(
-            point["config"], trace_config, point["profile_config"]
-        )
-        specs.append(TapeSpec(benchmark, norm_trace, norm_profile, config))
-    return specs
 
 
 def run_perf_study(
@@ -262,9 +174,7 @@ def run_perf_study(
     link_sweep=LINK_SWEEP,
     profile_config: SnapshotConfig | None = None,
     runner=None,
-    engine: str | None = None,
-    verify: float | None = None,
-    engine_spec=None,
+    engine_spec: str = "vectorized",
 ) -> PerfStudyResult:
     """Run the full Fig. 11 sweep.
 
@@ -278,19 +188,13 @@ def run_perf_study(
             only needs histograms).
         runner: :class:`repro.engine.ExperimentRunner` controlling
             parallelism and caching (default: serial, uncached).
-        engine_spec: :class:`repro.gpusim.engine_spec.EngineSpec` (or
-            its string form, e.g. ``"relaxed:verify=0.5"``) selecting
-            the simulator core; its name and verify fraction are cache
-            axes, so cached results never mix engines.
-        engine, verify: Deprecated spelling of ``engine_spec``; still
-            honoured, with a :class:`DeprecationWarning`.
+        engine_spec: The simulator core, one of
+            :data:`repro.gpusim.simulator.ENGINES`; it is a cache axis,
+            so cached results never mix engines.
     """
     from repro.engine.runner import default_runner
-    from repro.gpusim.engine_spec import EngineSpec
 
-    spec = EngineSpec.coerce(
-        engine_spec, engine=engine, verify=verify, where="run_perf_study"
-    )
+    engine = check_engine(engine_spec)
     runner = runner or default_runner()
     if trace_config is None and config is not None:
         # Preserve the historical coupling: an explicit machine implies
@@ -306,7 +210,7 @@ def run_perf_study(
             "trace_config": trace_config,
             "link_sweep": tuple(link_sweep),
             "profile_config": profile_config,
-            **spec.study_params(),
+            "engine": engine,
         },
     )
 

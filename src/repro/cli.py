@@ -23,10 +23,8 @@ profile builds merge into bulk compression calls.  ``plan`` prints
 what that optimizer would do — node graph, dedupe counts, predicted
 cache hits — without executing anything.
 
-The paper's figure names (``repro fig3`` … ``repro fig13``) remain as
-deprecated aliases that run serially without touching the cache,
-printing the same rows/series the paper reports plus a pointer to the
-equivalent ``repro run`` invocation.
+``repro fig6`` renders the Fig. 6 per-page heatmaps, the one paper
+figure with no registered experiment.
 """
 
 from __future__ import annotations
@@ -51,19 +49,6 @@ from repro import rng as rng_lib
 
 #: ``repro sweep`` default: the Fig. 7 design-point sweep.
 DEFAULT_SWEEP = ("compression.fig7",)
-
-#: Legacy figure aliases onto registered experiments.
-FIGURE_ALIASES = {
-    "fig3": "compression.fig3",
-    "fig7": "compression.fig7",
-    "fig8": "compression.fig8",
-    "fig9": "compression.fig9",
-    "fig5b": "metadata.fig5b",
-    "fig10": "correlation.fig10",
-    "fig11": "perf.fig11",
-    "fig12": "um.fig12",
-    "fig13": "dl.fig13",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -179,60 +164,6 @@ def _build_runner(args, offline: bool = False) -> ExperimentRunner:
     )
 
 
-def _cli_engine_spec(name: str, args):
-    """The CLI's single engine-selection parse point.
-
-    Folds ``--engine-spec`` (preferred) and the legacy ``--engine`` /
-    ``--verify`` pair into one validated
-    :class:`~repro.gpusim.engine_spec.EngineSpec`, or ``None`` when no
-    engine selection applies to this experiment.
-    """
-    from repro.gpusim.engine_spec import EngineSpec
-
-    text = getattr(args, "engine_spec", None)
-    engine = getattr(args, "engine", None)
-    verify = getattr(args, "verify", None)
-    if text:
-        if engine or verify:
-            raise KeyError(
-                "pass either --engine-spec or the --engine/--verify "
-                "pair, not both"
-            )
-        spec = EngineSpec.parse(text)
-    elif engine or verify:
-        if verify and engine != "relaxed":
-            # The exact engines have nothing to cross-check; passing
-            # verify through would raise deep inside every design
-            # point, so fail the friendly way the other flags do.
-            print(
-                "warning: --verify is the relaxed engine's oracle "
-                "cross-check; pass --engine relaxed to enable it "
-                "(--verify ignored)",
-                file=sys.stderr,
-            )
-            verify = None
-        spec = EngineSpec(engine or "vectorized", verify or 0.0)
-    else:
-        return None
-    if "engine" not in get_experiment(name).defaults():
-        print(
-            f"warning: {name} has no simulator engine axis; "
-            "engine selection ignored",
-            file=sys.stderr,
-        )
-        return None
-    if spec.tolerance is not None:
-        # A custom tolerance cannot reach cached design points without
-        # becoming a cache axis (see EngineSpec.study_params).
-        print(
-            "warning: tolerance= is a direct-simulation knob; cached "
-            "experiments pin the default tolerances (ignored)",
-            file=sys.stderr,
-        )
-        spec = replace(spec, tolerance=None)
-    return spec
-
-
 def _experiment_params(name: str, args) -> dict:
     """Translate CLI flags into experiment parameter overrides."""
     from repro.workloads.snapshots import SnapshotConfig
@@ -243,11 +174,16 @@ def _experiment_params(name: str, args) -> dict:
     if benchmarks:
         key = "networks" if name.startswith("dl.") else "benchmarks"
         params[key] = tuple(benchmarks)
-    spec = _cli_engine_spec(name, args)
-    if spec is not None:
-        params["engine"] = spec.name
-        if spec.verify:
-            params["verify"] = spec.verify
+    engine = getattr(args, "engine", None)
+    if engine:
+        if "engine" in get_experiment(name).defaults():
+            params["engine"] = engine
+        else:
+            print(
+                f"warning: {name} has no simulator engine axis; "
+                "--engine ignored",
+                file=sys.stderr,
+            )
     scale = getattr(args, "scale", None)
     if scale:
         defaults = get_experiment(name).defaults()
@@ -374,8 +310,6 @@ def _cmd_cache(args) -> int:
         evicted = cache.evict(args.evict_to)
         if not args.json:
             print(f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'}")
-    from repro.gpusim.vector_sim import TAPE_FORMAT_VERSION
-
     usage = cache.usage()
     if args.json:
         print(
@@ -385,7 +319,6 @@ def _cmd_cache(args) -> int:
                     "entries": usage.entries,
                     "bytes": usage.bytes,
                     "evictions": usage.evictions,
-                    "tape_format_version": TAPE_FORMAT_VERSION,
                     "per_experiment": {
                         name: {"entries": entries, "bytes": size}
                         for name, (entries, size) in usage.per_experiment.items()
@@ -398,8 +331,6 @@ def _cmd_cache(args) -> int:
     print(f"cache root: {cache.root}")
     for name, (entries, size) in usage.per_experiment.items():
         print(f"  {name:20s} {entries:6d} entr{'y' if entries == 1 else 'ies'} {size:12,d} bytes")
-    if "sim.tape" in usage.per_experiment:
-        print(f"  (sim.tape entries use tape serialization format v{TAPE_FORMAT_VERSION})")
     print(
         f"total: {usage.entries} entr{'y' if usage.entries == 1 else 'ies'}, "
         f"{usage.bytes:,d} bytes, {usage.evictions} lifetime eviction(s)"
@@ -424,12 +355,10 @@ def _cmd_doctor(args) -> int:
     import numpy as np
 
     from repro.gpusim import _event_core
-    from repro.gpusim.vector_sim import TAPE_FORMAT_VERSION
     from repro.statics import check_repo
 
     cache = ResultCache(args.cache_dir)
     usage = cache.usage()
-    tape_entries, tape_bytes = usage.per_experiment.get("sim.tape", (0, 0))
     check_summary = check_repo().summary()
     info = {
         "event_core": _event_core.describe(),
@@ -440,11 +369,6 @@ def _cmd_doctor(args) -> int:
             "root": str(cache.root),
             "entries": usage.entries,
             "bytes": usage.bytes,
-        },
-        "tape": {
-            "format_version": TAPE_FORMAT_VERSION,
-            "entries": tape_entries,
-            "bytes": tape_bytes,
         },
         "check": check_summary,
     }
@@ -468,11 +392,6 @@ def _cmd_doctor(args) -> int:
         f"cache:       {info['cache']['root']} "
         f"({usage.entries} entr{'y' if usage.entries == 1 else 'ies'}, "
         f"{usage.bytes:,d} bytes)"
-    )
-    print(
-        f"tape cache:  format v{TAPE_FORMAT_VERSION}, "
-        f"{tape_entries} entr{'y' if tape_entries == 1 else 'ies'}, "
-        f"{tape_bytes:,d} bytes"
     )
     print(
         f"check:       {check_summary['errors']} error(s), "
@@ -675,25 +594,14 @@ def _cmd_serve(args) -> int:
 _KEEP = object()
 
 
-def _cmd_figure(args) -> int:
-    """Legacy figure alias: serial, cache-untouched, paper-style output."""
-    if args.figure == "fig6":
-        from repro.analysis.compression_study import fig6_heatmap, render_heatmap
+def _cmd_fig6(args) -> int:
+    """Fig. 6 per-page compressibility heatmaps (no registered experiment)."""
+    from repro.analysis.compression_study import fig6_heatmap, render_heatmap
 
-        for name in args.benchmarks or ("FF_HPGMG", "356.sp", "ResNet50"):
-            print(f"== {name} (.:1 -:2 +:3 #:4 sectors) ==")
-            print(render_heatmap(fig6_heatmap(name)))
-        return 0
-    equivalent = " ".join(
-        ["repro", "run", FIGURE_ALIASES[args.figure], *args.benchmarks]
-    )
-    print(
-        f"warning: 'repro {args.figure}' is deprecated; use "
-        f"'{equivalent}' (add --workers/--cache-dir for the cached, "
-        "parallel engine)",
-        file=sys.stderr,
-    )
-    return _run_one(FIGURE_ALIASES[args.figure], args)
+    for name in args.benchmarks or ("FF_HPGMG", "356.sp", "ResNet50"):
+        print(f"== {name} (.:1 -:2 +:3 #:4 sectors) ==")
+        print(render_heatmap(fig6_heatmap(name)))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -713,35 +621,14 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("vectorized", "relaxed", "legacy"),
+        # repro.gpusim.ENGINES, spelled out so the CLI starts without
+        # importing the simulator (tests/test_engine_spec.py pins it).
+        choices=("vectorized", "legacy"),
         default=None,
         help=(
             "simulator core for the timing studies (fig10/fig11): the "
-            "batched vectorized engine (default, exact), the relaxed "
-            "frozen-order tape engine (fastest across link sweeps; "
-            "tolerance-pinned off the 150 GB/s reference point), or "
-            "the per-access legacy oracle"
-        ),
-    )
-    parser.add_argument(
-        "--verify",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "with --engine relaxed: fraction of simulator runs "
-            "cross-checked against the legacy oracle (deterministic "
-            "per design point; 1.0 checks every run, raising on any "
-            "contract breach)"
-        ),
-    )
-    parser.add_argument(
-        "--engine-spec",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "unified engine selection, e.g. 'relaxed:verify=0.5' "
-            "(subsumes --engine/--verify; see repro.gpusim.EngineSpec)"
+            "batched vectorized engine (default) or the per-access "
+            "legacy oracle; both give bit-identical results"
         ),
     )
     parser.add_argument(
@@ -950,26 +837,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=_cmd_serve)
 
-    for alias in sorted(FIGURE_ALIASES) + ["fig6"]:
-        figure = commands.add_parser(alias, help=f"paper {alias} (serial alias)")
-        figure.add_argument(
-            "benchmarks", nargs="*", help="optional benchmark subset"
-        )
-        figure.set_defaults(
-            func=_cmd_figure,
-            figure=alias,
-            workers=1,
-            cache=False,
-            cache_dir=None,
-            seed=rng_lib.DEFAULT_SEED,
-            scale=None,
-            quiet=True,
-        )
+    fig6 = commands.add_parser(
+        "fig6", help="paper Fig. 6 per-page compressibility heatmaps"
+    )
+    fig6.add_argument("benchmarks", nargs="*", help="optional benchmark subset")
+    fig6.set_defaults(func=_cmd_fig6)
+    for subparser in commands.choices.values():
+        subparser.set_defaults(subparser=subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # Report against the subcommand, whose usage line lists the
+        # options it does accept (e.g. --engine {vectorized,legacy}).
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except KeyError as err:

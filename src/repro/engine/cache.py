@@ -155,7 +155,7 @@ class CacheStats:
     tests pin both.
 
     ``per_namespace`` splits hits/misses/stores by cache namespace
-    (``sim.tape``, ``profile.tensor``, design-point experiments, ...)
+    (``profile.tensor``, ``profile.entries``, design-point experiments, ...)
     as ``name -> [hits, misses, stores]``, so reports can show which
     artifact class a warm run actually reused.
     """

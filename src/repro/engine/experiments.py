@@ -20,10 +20,9 @@ Registered experiments::
     serve.advice       the advisor service's answer, one-shot form
 
 The two timing studies carry an ``engine`` parameter
-("vectorized" / "relaxed" / "legacy", see docs/engines.md) and a
-``verify`` fraction (the relaxed engine's sampled oracle
-cross-check); both are ordinary cache-key axes, so results produced
-by different simulator cores are addressed separately and never mix.
+("vectorized" / "legacy", see docs/engines.md).  It is an ordinary
+cache-key axis, so results produced by different simulator cores are
+addressed separately and never mix.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ _SIMULATOR_MODULES = _SUBSTRATE_MODULES + (
     "repro.core.profile_tensor",
     "repro.core.profiler",
     "repro.gpusim._event_core",
-    "repro.gpusim.engine_spec",
     "repro.gpusim.cache",
     "repro.gpusim.compression",
     "repro.gpusim.config",
@@ -366,7 +364,6 @@ def _fig10_defaults() -> dict:
         "sm_count": 4,
         "warps_per_sm": 6,
         "engine": "vectorized",
-        "verify": 0.0,
     }
 
 
@@ -378,7 +375,6 @@ def _fig10_expand(params: dict) -> list[dict]:
             "sm_count": params["sm_count"],
             "warps_per_sm": params["warps_per_sm"],
             "engine": params["engine"],
-            "verify": params["verify"],
         }
         for name in params["benchmarks"]
         for scale in params["instruction_scales"]
@@ -394,7 +390,6 @@ def _fig10_point(point: dict):
         point["sm_count"],
         point["warps_per_sm"],
         point["engine"],
-        point["verify"],
     )
 
 
@@ -447,7 +442,6 @@ def _fig11_defaults() -> dict:
         "link_sweep": LINK_SWEEP,
         "profile_config": SnapshotConfig(scale=1.0 / 65536),
         "engine": "vectorized",
-        "verify": 0.0,
     }
 
 
@@ -461,7 +455,6 @@ def _fig11_point(point: dict):
         point["link_sweep"],
         point["profile_config"],
         point["engine"],
-        point["verify"],
     )
 
 

@@ -113,25 +113,6 @@ class TraceSpec:
     trace_config: Any  # TraceConfig
 
 
-@dataclass(frozen=True)
-class TapeSpec:
-    """A relaxed design point's frozen event tape.
-
-    Executable: built in a second stage-0 wave (after the tensors and
-    entry states it consumes), deduped by the ``sim.tape`` content
-    digest across every relaxed point of every co-submitted sweep —
-    one exact-order recording per ``(trace, state, geometry)``, loaded
-    from the persistent cache when a previous session already recorded
-    it.  All configs are the *normalized* values the point resolves at
-    run time, so the plan-time digest matches the run-time lookup.
-    """
-
-    benchmark: str
-    trace_config: Any  # TraceConfig
-    profile_config: Any  # SnapshotConfig
-    config: Any  # GPUConfig
-
-
 # ---------------------------------------------------------------------------
 # Plan nodes and the assembled plan.
 # ---------------------------------------------------------------------------
@@ -139,7 +120,7 @@ class TapeSpec:
 class PlanNode:
     """One node of the merged sweep DAG."""
 
-    kind: str  # profile_tensor | entry_state | snapshots | trace | tape | point | aggregate
+    kind: str  # profile_tensor | entry_state | snapshots | trace | point | aggregate
     digest: str  # content digest (cache-compatible for executable kinds)
     label: str
     spec: Any = None
@@ -207,7 +188,6 @@ class Plan:
     shared: dict[str, PlanNode]  # node id -> node (insertion = discovery order)
     merge_groups: list[MergeGroup]
     entry_nodes: list[str]  # entry-state node ids to build in stage 0
-    tape_nodes: list = field(default_factory=list)  # relaxed tapes, stage-0 wave 2
     seed: int = rng_lib.DEFAULT_SEED
 
     def stats(self) -> PlanStats:
@@ -392,26 +372,12 @@ def _node_for_spec(spec) -> PlanNode:
             label=f"{spec.benchmark}",
             spec=spec,
         )
-    if isinstance(spec, TapeSpec):
-        from repro.gpusim.vector_sim import tape_cache_key
-
-        key = tape_cache_key(
-            spec.benchmark, spec.trace_config, spec.profile_config, spec.config
-        )
-        return PlanNode(
-            kind="tape",
-            digest=key.digest,
-            label=f"{spec.benchmark} tape",
-            spec=spec,
-            executable=True,
-        )
     raise TypeError(f"unknown plan spec {type(spec).__qualname__}")
 
 
 _CACHE_NAMESPACE = {
     "profile_tensor": "profile.tensor",
     "entry_state": "profile.entries",
-    "tape": "sim.tape",
 }
 
 
@@ -485,7 +451,6 @@ def plan(requests, runner=None) -> Plan:
     # stay out — execution would only re-read them from disk.
     groups: dict[str, list[PlanNode]] = {}
     entry_nodes: list[str] = []
-    tape_nodes: list[str] = []
     for node in shared.values():
         if not (node.executable and node.needed and not node.predicted_cached):
             continue
@@ -501,8 +466,6 @@ def plan(requests, runner=None) -> Plan:
             groups.setdefault(group_key, []).append(node)
         elif node.kind == "entry_state":
             entry_nodes.append(node.node_id)
-        elif node.kind == "tape":
-            tape_nodes.append(node.node_id)
     merge_groups = [
         MergeGroup(
             config=nodes[0].spec.config,
@@ -517,7 +480,6 @@ def plan(requests, runner=None) -> Plan:
         shared=shared,
         merge_groups=merge_groups,
         entry_nodes=entry_nodes,
-        tape_nodes=tape_nodes,
         seed=runner.seed,
     )
 
@@ -535,9 +497,6 @@ class ExecutionReport:
     most 1 (each benchmark's snapshots are generated at most once).
     ``bulk_compression_calls`` counts stage-0 stacked
     ``compressed_sizes`` calls (serial plans: one per merge group).
-    ``tape_recordings`` counts exact-order relaxed-tape recordings
-    across stage 0 — the planned-sweep guarantee is one per deduped
-    ``(trace, state, geometry)`` tape node, and zero on warm caches.
     """
 
     seconds: float = 0.0
@@ -546,7 +505,6 @@ class ExecutionReport:
     snapshot_generations: int = 0
     generation_tally: dict = field(default_factory=dict)
     bulk_compression_calls: int = 0
-    tape_recordings: int = 0
     points: int = 0
     point_cache_hits: int = 0
     points_executed: int = 0
@@ -579,38 +537,31 @@ class SweepResult:
 class _SharedTask:
     """One stage-0 build task (pickle-safe for the process pool)."""
 
-    kind: str  # "profile" | "entry" | "tape"
+    kind: str  # "profile" | "entry"
     benchmarks: tuple[str, ...]
     config: Any
     algorithm: Any = None
     index: int = 0
     node_ids: tuple[str, ...] = ()
-    trace_config: Any = None  # tape tasks only
-    gpu_config: Any = None  # tape tasks only
 
 
 def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes, ship):
     """Build one stage-0 task's artifacts (module-level, pool-safe).
 
-    Returns ``(artifacts, built_node_ids, bulk_calls, recordings)``
-    where ``artifacts`` maps node id to ``(memo kind, memo key,
-    value)`` — populated only when ``ship`` is true (cacheless runners
-    ship memo preloads; cached runners persist through the shared
-    result cache instead) — and ``recordings`` counts exact-order tape
-    recordings this task performed (0 when the tape loaded from the
-    cache or the in-process memo).
+    Returns ``(artifacts, built_node_ids, bulk_calls)`` where
+    ``artifacts`` maps node id to ``(memo kind, memo key, value)`` —
+    populated only when ``ship`` is true (cacheless runners ship memo
+    preloads; cached runners persist through the shared result cache
+    instead).
     """
     from repro.core import profiler
-    from repro.gpusim import vector_sim
 
     previous = None
-    previous_tape = None
     if cache_root is not None:
-        shared_cache = ResultCache(cache_root, max_bytes=cache_max_bytes)
-        previous = profiler.set_tensor_cache(shared_cache)
-        previous_tape = vector_sim.set_tape_cache(shared_cache)
+        previous = profiler.set_tensor_cache(
+            ResultCache(cache_root, max_bytes=cache_max_bytes)
+        )
     calls_before = profiler.bulk_compression_call_count()
-    recordings_before = vector_sim.tape_recording_count()
     artifacts: dict[str, tuple[str, tuple, Any]] = {}
     built: list[str] = []
     try:
@@ -632,24 +583,6 @@ def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes, ship):
                         ),
                         tensors[benchmark],
                     )
-        elif task.kind == "tape":
-            from repro.analysis.perf_study import prepare_tape
-
-            envelope = prepare_tape(
-                task.benchmarks[0],
-                task.gpu_config,
-                task.trace_config,
-                task.config,
-            )
-            if vector_sim.tape_recording_count() > recordings_before:
-                built.append(task.node_ids[0])
-            if ship:
-                node_id = task.node_ids[0]
-                artifacts[node_id] = (
-                    "tapes",
-                    node_id.split("/", 1)[1],  # the sim.tape digest
-                    envelope,
-                )
         else:
             benchmark = task.benchmarks[0]
             before = profiler.entry_state_build_count()
@@ -669,10 +602,8 @@ def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes, ship):
     finally:
         if cache_root is not None:
             profiler.set_tensor_cache(previous)
-            vector_sim.set_tape_cache(previous_tape)
     calls = profiler.bulk_compression_call_count() - calls_before
-    recordings = vector_sim.tape_recording_count() - recordings_before
-    return artifacts, tuple(built), calls, recordings
+    return artifacts, tuple(built), calls
 
 
 def _chunk(sequence, parts: int) -> list[tuple]:
@@ -719,29 +650,6 @@ def _stage_zero_tasks(sweep_plan: Plan, workers: int) -> list[_SharedTask]:
                 benchmarks=(node.spec.benchmark,),
                 config=node.spec.config,
                 index=node.spec.index,
-                node_ids=(node_id,),
-            )
-        )
-    return tasks
-
-
-def _tape_tasks(sweep_plan: Plan) -> list[_SharedTask]:
-    """Stage-0 wave 2: record-or-load each deduped relaxed tape.
-
-    Runs after the tensor / entry-state wave — a tape recording
-    consumes both — so cached runners read those artifacts through the
-    shared cache and serial runners hit the in-process memos.
-    """
-    tasks: list[_SharedTask] = []
-    for node_id in sweep_plan.tape_nodes:
-        node = sweep_plan.shared[node_id]
-        tasks.append(
-            _SharedTask(
-                kind="tape",
-                benchmarks=(node.spec.benchmark,),
-                config=node.spec.profile_config,
-                trace_config=node.spec.trace_config,
-                gpu_config=node.spec.config,
                 node_ids=(node_id,),
             )
         )
@@ -815,16 +723,11 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
 
         # ---- Stage 0: shared artifacts -------------------------------
         def account(task: _SharedTask, outcome) -> None:
-            artifacts, built, calls, recordings = outcome
+            artifacts, built, calls = outcome
             preload.update(artifacts)
             report.shared_built += len(built)
             report.shared_reused += len(task.node_ids) - len(built)
             report.bulk_compression_calls += calls
-            report.tape_recordings += recordings
-            if task.kind == "tape":
-                # Tape recordings are accounted separately; they are
-                # replays of already-tallied snapshot artifacts.
-                return
             report.snapshot_generations += len(built)
             for node_id in built:
                 node = sweep_plan.shared[node_id]
@@ -837,13 +740,13 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                     report.generation_tally.get(tally_key, 0) + 1
                 )
 
-        def run_wave(wave: list[_SharedTask]) -> None:
+        if total_pending and tasks:
             if pool is not None:
                 futures = {
                     pool.submit(
                         _execute_shared_task, task, cache_root, cache_max, ship
                     ): task
-                    for task in wave
+                    for task in tasks
                 }
                 outstanding = set(futures)
                 while outstanding:
@@ -853,20 +756,11 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                     for future in done:
                         account(futures[future], future.result())
             else:
-                for task in wave:
+                for task in tasks:
                     account(
                         task,
                         _execute_shared_task(task, cache_root, cache_max, ship),
                     )
-
-        if total_pending:
-            # Tapes build in a second wave: a recording consumes the
-            # tensors and entry states the first wave produced.
-            if tasks:
-                run_wave(tasks)
-            tape_wave = _tape_tasks(sweep_plan)
-            if tape_wave:
-                run_wave(tape_wave)
 
         # ---- Stage 1: design points (one pool, all experiments) ------
         def preload_for(request: PlanRequest, index: int):

@@ -1,16 +1,13 @@
 """Exact-order event core over compacted struct-of-arrays state.
 
-This module is the extraction point of the hot loops of
-:mod:`repro.gpusim.vector_sim`: the exact ``(ready, sequence)``
-event scheduler of :class:`~repro.gpusim.vector_sim.VectorizedSimulator`
-(:func:`run_exact`) and the frozen-order tape replay of
-:class:`~repro.gpusim.vector_sim.RelaxedSimulator`
-(:func:`replay_tape`).  Both operate on **flat arrays only** — the
-caller hands over a fixed tuple of C-contiguous ``int64``/``float64``
-NumPy columns plus scalar tuples, and gets back a counter tuple (and,
-when recording, the compacted tape columns).  No dicts, tuples-per-row
-or Python objects cross the boundary, which is what makes the loop
-compilable.
+This module is the extraction point of the hot loop of
+:mod:`repro.gpusim.vector_sim`: the exact ``(ready, sequence)`` event
+scheduler of :class:`~repro.gpusim.vector_sim.VectorizedSimulator`
+(:func:`run_exact`).  It operates on **flat arrays only** — the caller
+hands over a fixed tuple of C-contiguous ``int64``/``float64`` NumPy
+columns plus scalar tuples, and gets back a counter tuple.  No dicts,
+tuples-per-row or Python objects cross the boundary, which is what
+makes the loop compilable.
 
 Two interchangeable implementations sit behind the same interface:
 
@@ -21,7 +18,7 @@ Two interchangeable implementations sit behind the same interface:
   line-for-line transcription of the fallback using the same IEEE
   double operations in the same order, so counters *and* cycles are
   bit-identical between the two (``tests/test_event_core.py`` pins
-  this; the CI ``compiled-core`` job diffs full study digests).
+  this; the CI ``event-core`` job diffs full study digests).
 
 Selection happens once at import: the extension is used when it
 imports and its ``ABI`` constant matches :data:`EXT_ABI` (a stale
@@ -33,50 +30,23 @@ it to measure the compiled speedup in one process).
 Array-pack layout
 -----------------
 
-``run_exact`` takes ``(arrays, iscalars, fscalars, record)``.
-``arrays`` is a 30-tuple indexed by the ``A_*`` constants below; slots
-that do not apply to the mode are ``None``.  All per-row columns are
-``int64`` except ``busy``/``serv_*`` (``float64``).  ``iscalars`` /
-``fscalars`` are indexed by ``I_*`` / ``F_*``.  The recorded tape is
-a 12-tuple of parallel columns — ``kind`` (int8), ``w``/``sm``
-(int32), three ``float64`` payload columns ``f0..f2`` and six
-``int32`` payload columns ``i0..i5`` — with exactly one row per
-scheduler pop (``n_rows + warp_count`` rows total).  Per-kind payload
-mapping (kinds are the ``_T_*`` codes of ``vector_sim``):
-
-====  ==========================  =========================================
-kind  event                       payload
-====  ==========================  =========================================
-0     compute                     ``f0``\\=busy
-1     load, cache hit             ``f0``\\=latency
-2/6   load fill / RMW store fill  ``f0``\\=serv ``f1``\\=mserv ``f2``\\=wbserv
-                                  ``i0``\\=ch ``i1``\\=mmiss ``i2``\\=mch
-                                  ``i3``\\=bnum ``i4``\\=wbch ``i5``\\=wbbnum
-3/7   host load / host store      ``i0``\\=hnum
-4     store, no timing            —
-5     store w/ dirty writeback    ``f2``\\=wbserv ``i4``\\=wbch ``i5``\\=wbbnum
-8     warp end                    —
-====  ==========================  =========================================
-
-At ~57 B per event the columns replace per-event tuples costing
-88–224 B each (tuple header + boxed floats), which is what makes very
-long relaxed tapes safe to hold (`tests/test_event_core.py` pins the
-reduction).
+``run_exact`` takes ``(arrays, iscalars, fscalars)``.  ``arrays`` is a
+30-tuple indexed by the ``A_*`` constants below; slots that do not
+apply to the mode are ``None``.  All per-row columns are ``int64``
+except ``busy``/``serv_*`` (``float64``).  ``iscalars`` / ``fscalars``
+are indexed by ``I_*`` / ``F_*``.
 """
 
 from __future__ import annotations
 
-import array
 import gc
 import os
 from contextlib import contextmanager
 from itertools import repeat
 
-import numpy as np
-
 #: Bump when the array-pack layout changes; a compiled extension whose
 #: ``ABI`` constant differs is silently ignored (stale build).
-EXT_ABI = 2
+EXT_ABI = 3
 
 _ext = None
 _ext_error: str | None = None
@@ -164,25 +134,12 @@ def force_python():
     F_ROW_HIT_OV, F_ROW_MISS_OV,
 ) = range(11)
 
-#: Replay scalar packs (subset of the above, see :func:`replay_tape`).
-(
-    RI_WARP_COUNT, RI_SM_COUNT, RI_CHANNELS,
-) = range(3)
-(
-    RF_INTERVAL, RF_DRAM_LAT, RF_ARRIVAL_LAT,
-    RF_LINK_BPC, RF_LINK_LAT, RF_FILL_TAIL,
-) = range(6)
-
-
-def run_exact(arrays, iscalars, fscalars, record, geo_cache=None,
-              state_cache=None):
+def run_exact(arrays, iscalars, fscalars, geo_cache=None, state_cache=None):
     """One exact-order simulation over the packed columns.
 
-    Returns ``(counters, tape_cols)`` where ``counters`` is
-    ``(cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
-    link_read_bytes, link_write_bytes, meta_hits, meta_misses,
-    buddy_fills, demand_fills)`` and ``tape_cols`` is the 12-column
-    tape pack (``None`` unless ``record``).
+    Returns the counter tuple ``(cycles, l1_hits, l1_misses, l2_hits,
+    l2_misses, dram_bytes, link_read_bytes, link_write_bytes,
+    meta_hits, meta_misses, buddy_fills, demand_fills)``.
 
     ``geo_cache``/``state_cache`` are optional dicts the pure-Python
     implementation uses to keep its derived row tuples across runs of
@@ -192,92 +149,12 @@ def run_exact(arrays, iscalars, fscalars, record, geo_cache=None,
     if _ext is not None and not _forced_python:
         # The extension parses scalars with the exact C long-long /
         # double converters; normalise any NumPy scalars up front.
-        iscalars = tuple(int(v) for v in iscalars)
-        fscalars = tuple(float(v) for v in fscalars)
-        tape_cols = None
-        if record:
-            n_events = arrays[A_CODES].shape[0] + int(iscalars[I_WARP_COUNT])
-            tape_cols = (
-                np.zeros(n_events, dtype=np.int8),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.float64),
-                np.zeros(n_events, dtype=np.float64),
-                np.zeros(n_events, dtype=np.float64),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-                np.zeros(n_events, dtype=np.int32),
-            )
-        counters = _ext.run_exact(arrays, iscalars, fscalars, tape_cols)
-        return counters, tape_cols
-    return _run_exact_py(
-        arrays, iscalars, fscalars, record, geo_cache, state_cache
-    )
-
-
-def replay_tape(tape_cols, warp_mlp, iscalars, fscalars) -> float:
-    """Recompute end-to-end cycles along a recorded tape pack.
-
-    ``iscalars`` is ``(warp_count, sm_count, channels)`` and
-    ``fscalars`` is ``(interval, dram_lat, arrival_lat, link_bpc,
-    link_lat, fill_tail)`` (the ``RI_*``/``RF_*`` indices).
-    """
-    if _ext is not None and not _forced_python:
-        return _ext.replay(
-            tape_cols,
-            warp_mlp,
+        return _ext.run_exact(
+            arrays,
             tuple(int(v) for v in iscalars),
             tuple(float(v) for v in fscalars),
         )
-    return _replay_py(tape_cols, warp_mlp, iscalars, fscalars)
-
-
-def replay_tape_many(tape_cols, warp_mlp, iscalars, fscalars_list):
-    """Replay one tape at several interconnects in a single pass.
-
-    ``fscalars_list`` is a sequence of ``RF_*`` packs, one per
-    requested link point; the return value is a tuple of per-link
-    cycle counts, each bit-identical to a serial :func:`replay_tape`
-    call with the same pack (``tests/test_event_core.py`` pins the
-    identity for both builds, and the compiled and fallback paths
-    against each other).  The win over the serial loop is one pass
-    over the tape columns instead of one per link: replay control
-    flow — which branches fire, when a warp's MLP window pops —
-    depends only on the tape payloads and integer counts, which are
-    link-invariant, so all links advance together and only the small
-    per-link clock state differs.
-    """
-    packs = tuple(tuple(float(v) for v in pack) for pack in fscalars_list)
-    if not packs:
-        return ()
-    if _ext is not None and not _forced_python:
-        return _ext.replay_many(
-            tape_cols,
-            warp_mlp,
-            tuple(int(v) for v in iscalars),
-            packs,
-        )
-    return _replay_many_py(tape_cols, warp_mlp, iscalars, packs)
-
-
-def _record_row(cols, k, w, sm, f0=0.0, f1=0.0, f2=0.0,
-                i0=0, i1=0, i2=0, i3=0, i4=0, i5=0):
-    tk, tw, tsm, tf0, tf1, tf2, ti0, ti1, ti2, ti3, ti4, ti5 = cols
-    tk.append(k)
-    tw.append(w)
-    tsm.append(sm)
-    tf0.append(f0)
-    tf1.append(f1)
-    tf2.append(f2)
-    ti0.append(i0)
-    ti1.append(i1)
-    ti2.append(i2)
-    ti3.append(i3)
-    ti4.append(i4)
-    ti5.append(i5)
+    return _run_exact_py(arrays, iscalars, fscalars, geo_cache, state_cache)
 
 
 def _cached(cache, key, build):
@@ -290,8 +167,7 @@ def _cached(cache, key, build):
     return value
 
 
-def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
-                  state_cache):
+def _run_exact_py(arrays, iscalars, fscalars, geo_cache, state_cache):
     """The always-available pure-Python event core.
 
     A verbatim port of the historical inline loop of
@@ -448,15 +324,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
     finish = 0.0
     pushpop = heappushpop
 
-    if record:
-        tcols = (
-            array.array("b"), array.array("i"), array.array("i"),
-            array.array("d"), array.array("d"), array.array("d"),
-            array.array("i"), array.array("i"), array.array("i"),
-            array.array("i"), array.array("i"), array.array("i"),
-        )
-        rec = _record_row
-
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -474,8 +341,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                         finish = last
                 if ready > finish:
                     finish = ready
-                if record:
-                    rec(tcols, 8, w, 0)
                 event = heappop(heap) if heap else None
                 continue
             ips[w] = i + 1
@@ -487,8 +352,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
             if code == 0:  # _COMPUTE
                 next_ready = issue + busy_col[i]
                 sm_free[sm] = next_ready
-                if record:
-                    rec(tcols, 0, w, sm, busy_col[i])
             elif code == 1:  # _LOAD
                 sm_free[sm] = issue + interval
                 lid, msk, flat1, s2 = probe_rows[i]
@@ -499,8 +362,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                     del d1[lid]
                     d1[lid] = e1
                     done = issue + l1_lat
-                    if record:
-                        rec(tcols, 1, w, sm, l1_lat)
                 else:
                     l1_misses += 1
                     d2 = l2_masks[s2]
@@ -510,16 +371,10 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                         del d2[lid]
                         d2[lid] = e2
                         done = issue + l2_lat
-                        if record:
-                            rec(tcols, 1, w, sm, l2_lat)
                     else:
                         l2_misses += 1
                         arrival = issue + l2_lat
                         demand_fills += 1
-                        if record:
-                            r_serv = r_mserv = r_wbserv = 0.0
-                            r_ch = r_mmiss = r_mch = 0
-                            r_bnum = r_wbch = r_wbbnum = 0
                         if use_meta:
                             (
                                 dev, sh, sm_, ch, rw, bk, fm, bud, bnum,
@@ -541,9 +396,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                             next_free[ch] = end
                             dram_bytes += dev
                             done = end + dram_lat
-                            if record:
-                                r_serv = serv
-                                r_ch = ch
                         else:
                             done = arrival
                         if use_meta:
@@ -574,10 +426,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                 meta_ready = end + dram_lat
                                 if meta_ready > done:
                                     done = meta_ready
-                                if record:
-                                    r_mmiss = 1
-                                    r_mserv = serv
-                                    r_mch = mc
                             if bud:
                                 start = (
                                     link_read_free
@@ -591,8 +439,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                 t = end + link_lat
                                 if t > done:
                                     done = t
-                                if record:
-                                    r_bnum = bnum
                         # Install (full line for compressed fills).
                         if e2 is not None:
                             del d2[lid]
@@ -628,9 +474,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                         )
                                         next_free[vch] = vstart + serv
                                         dram_bytes += num
-                                        if record:
-                                            r_wbserv = serv
-                                            r_wbch = vch
                                     if use_meta:
                                         vbud = wb_bud[victim % entries]
                                         if vbud:
@@ -648,18 +491,8 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                                 / link_bpc
                                             )
                                             link_write_bytes += vbud
-                                            if record:
-                                                r_wbbnum = wb_bnum[
-                                                    victim % entries
-                                                ]
                             d2[lid] = fm
                         done = done + fill_tail
-                        if record:
-                            rec(
-                                tcols, 2, w, sm, r_serv, r_mserv,
-                                r_wbserv, r_ch, r_mmiss, r_mch, r_bnum,
-                                r_wbch, r_wbbnum,
-                            )
                     # L1 fill (never dirty; evictions are silent).
                     if e1 is not None:
                         del d1[lid]
@@ -679,11 +512,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
             elif code == 2 or code == 5:  # _STORE / _STORE_RMW
                 sm_free[sm] = issue + interval
                 lid, msk, flat1, s2 = probe_rows[i]
-                if record:
-                    r_fill = 0
-                    r_serv = r_mserv = r_wbserv = 0.0
-                    r_ch = r_mmiss = r_mch = 0
-                    r_bnum = r_wbch = r_wbbnum = 0
                 if code == 5:
                     # Partial store into a compressed entry: every
                     # fourth pays the read-modify-write fetch
@@ -702,8 +530,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                         else:
                             l2_misses += 1
                             demand_fills += 1
-                            if record:
-                                r_fill = 1
                             if use_meta:
                                 (
                                     dev, sh, sm_, ch, rw, bk, fm,
@@ -723,9 +549,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                 start = free if free > issue else issue
                                 next_free[ch] = start + serv
                                 dram_bytes += dev
-                                if record:
-                                    r_serv = serv
-                                    r_ch = ch
                             if use_meta:
                                 meta_ready = issue
                                 mt, ms, mc, mr, mb = meta_rows[i]
@@ -752,10 +575,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                     next_free[mc] = end
                                     dram_bytes += meta_line_bytes
                                     meta_ready = end + dram_lat
-                                    if record:
-                                        r_mmiss = 1
-                                        r_mserv = serv
-                                        r_mch = mc
                                 if bud:
                                     start = (
                                         link_read_free
@@ -767,8 +586,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                     )
                                     link_read_bytes += bud
                                     buddy_fills += 1
-                                    if record:
-                                        r_bnum = bnum
                             # Install the whole line.
                             if e2 is not None:
                                 del d2[lid]
@@ -811,9 +628,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                                 vstart + serv
                                             )
                                             dram_bytes += num
-                                            if record:
-                                                r_wbserv = serv
-                                                r_wbch = vch
                                         if use_meta:
                                             vbud = wb_bud[ventry]
                                             if vbud:
@@ -831,10 +645,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                                 link_write_bytes += (
                                                     vbud
                                                 )
-                                                if record:
-                                                    r_wbbnum = wb_bnum[
-                                                        ventry
-                                                    ]
                                 d2[lid] = fm
                 d2 = l2_masks[s2]
                 e2 = d2.get(lid)
@@ -872,9 +682,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                 )
                                 next_free[vch] = vstart + serv
                                 dram_bytes += num
-                                if record:
-                                    r_wbserv = serv
-                                    r_wbch = vch
                             if use_meta:
                                 vbud = wb_bud[victim % entries]
                                 if vbud:
@@ -889,27 +696,9 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                                         / link_bpc
                                     )
                                     link_write_bytes += vbud
-                                    if record:
-                                        r_wbbnum = wb_bnum[
-                                            victim % entries
-                                        ]
                     d2[lid] = msk
                     l2_dirty[s2][lid] = msk
                 next_ready = issue + interval
-                if record:
-                    if r_fill:
-                        rec(
-                            tcols, 6, w, sm, r_serv, r_mserv, r_wbserv,
-                            r_ch, r_mmiss, r_mch, r_bnum, r_wbch,
-                            r_wbbnum,
-                        )
-                    elif r_wbserv or r_wbbnum:
-                        rec(
-                            tcols, 5, w, sm, 0.0, 0.0, r_wbserv,
-                            0, 0, 0, 0, r_wbch, r_wbbnum,
-                        )
-                    else:
-                        rec(tcols, 4, w, sm)
             elif code == 3:  # _HOST_LOAD
                 sm_free[sm] = issue + interval
                 hbytes, hnum = host_rows[i]
@@ -920,8 +709,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                 link_read_free = end
                 link_read_bytes += hbytes
                 done = end + link_lat
-                if record:
-                    rec(tcols, 3, w, sm, 0.0, 0.0, 0.0, hnum)
                 out = outstanding[w]
                 out.append(done)
                 head = out_heads[w]
@@ -939,8 +726,6 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
                 link_write_free = start + hnum / link_bpc
                 link_write_bytes += hbytes
                 next_ready = issue + interval
-                if record:
-                    rec(tcols, 7, w, sm, 0.0, 0.0, 0.0, hnum)
 
             sequence += 1
             continuation = (next_ready, sequence, w)
@@ -965,415 +750,8 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
         link_write_free,
         max(sm_free),
     )
-    counters = (
+    return (
         cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
         link_read_bytes, link_write_bytes, meta_hits, meta_misses,
         buddy_fills, demand_fills,
     )
-    if not record:
-        return counters, None
-    tape_cols = (
-        np.frombuffer(tcols[0], dtype=np.int8),
-        np.frombuffer(tcols[1], dtype=np.intc),
-        np.frombuffer(tcols[2], dtype=np.intc),
-        np.frombuffer(tcols[3], dtype=np.float64),
-        np.frombuffer(tcols[4], dtype=np.float64),
-        np.frombuffer(tcols[5], dtype=np.float64),
-        np.frombuffer(tcols[6], dtype=np.intc),
-        np.frombuffer(tcols[7], dtype=np.intc),
-        np.frombuffer(tcols[8], dtype=np.intc),
-        np.frombuffer(tcols[9], dtype=np.intc),
-        np.frombuffer(tcols[10], dtype=np.intc),
-        np.frombuffer(tcols[11], dtype=np.intc),
-    )
-    return counters, tape_cols
-
-
-def _replay_py(tape_cols, warp_mlp_a, iscalars, fscalars) -> float:
-    """Pure-Python tape replay over the compacted columns.
-
-    The tape is consumed strictly in order, so the columns are zipped
-    into a transient row iterator — one tuple unpack per event, the
-    same per-event cost as the historical list-of-tuples tape, with no
-    retained tuple storage.
-    """
-    warp_count = int(iscalars[RI_WARP_COUNT])
-    sm_count = int(iscalars[RI_SM_COUNT])
-    channels = int(iscalars[RI_CHANNELS])
-    interval = fscalars[RF_INTERVAL]
-    dram_lat = fscalars[RF_DRAM_LAT]
-    arrival_lat = fscalars[RF_ARRIVAL_LAT]
-    link_bpc = fscalars[RF_LINK_BPC]
-    link_lat = fscalars[RF_LINK_LAT]
-    fill_tail = fscalars[RF_FILL_TAIL]
-
-    next_free = [0.0] * channels
-    sm_free = [0.0] * sm_count
-    link_read_free = 0.0
-    link_write_free = 0.0
-    warp_mlp = warp_mlp_a.tolist()
-    ready = [0.0] * warp_count
-    outstanding: list[list] = [[] for _ in range(warp_count)]
-    out_heads = [0] * warp_count
-    finish = 0.0
-
-    rows = zip(*(column.tolist() for column in tape_cols))
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for kind, w, sm, f0, f1, f2, i0, i1, i2, i3, i4, i5 in rows:
-            if kind == 0:  # compute
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                t = issue + f0
-                sm_free[sm] = t
-                ready[w] = t
-            elif kind == 1:  # load, cache hit
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                done = issue + f0
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 2:  # load, demand fill
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                arrival = issue + arrival_lat
-                if f0:  # serv
-                    free = next_free[i0]
-                    start = free if free > arrival else arrival
-                    end = start + f0
-                    next_free[i0] = end
-                    done = end + dram_lat
-                else:
-                    done = arrival
-                meta_ready = arrival
-                if i1:  # mmiss
-                    free = next_free[i2]
-                    start = free if free > arrival else arrival
-                    end = start + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                    if meta_ready > done:
-                        done = meta_ready
-                if i3:  # bnum
-                    start = (
-                        link_read_free
-                        if link_read_free > meta_ready
-                        else meta_ready
-                    )
-                    end = start + i3 / link_bpc
-                    link_read_free = end
-                    t = end + link_lat
-                    if t > done:
-                        done = t
-                if f2:  # wbserv
-                    free = next_free[i4]
-                    start = free if free > arrival else arrival
-                    next_free[i4] = start + f2
-                if i5:  # wbbnum
-                    start = (
-                        link_write_free
-                        if link_write_free > arrival
-                        else arrival
-                    )
-                    link_write_free = start + i5 / link_bpc
-                done = done + fill_tail
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 4:  # store, no memory-system timing
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                ready[w] = issue + interval
-            elif kind == 5:  # store with dirty-eviction writeback
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                if f2:
-                    free = next_free[i4]
-                    start = free if free > issue else issue
-                    next_free[i4] = start + f2
-                if i5:
-                    start = (
-                        link_write_free
-                        if link_write_free > issue
-                        else issue
-                    )
-                    link_write_free = start + i5 / link_bpc
-                ready[w] = issue + interval
-            elif kind == 6:  # store with read-modify-write fill
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                if f0:
-                    free = next_free[i0]
-                    start = free if free > issue else issue
-                    next_free[i0] = start + f0
-                meta_ready = issue
-                if i1:
-                    free = next_free[i2]
-                    start = free if free > issue else issue
-                    end = start + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                if i3:
-                    start = (
-                        link_read_free
-                        if link_read_free > meta_ready
-                        else meta_ready
-                    )
-                    link_read_free = start + i3 / link_bpc
-                if f2:
-                    free = next_free[i4]
-                    start = free if free > issue else issue
-                    next_free[i4] = start + f2
-                if i5:
-                    start = (
-                        link_write_free
-                        if link_write_free > issue
-                        else issue
-                    )
-                    link_write_free = start + i5 / link_bpc
-                ready[w] = issue + interval
-            elif kind == 3:  # host load over the link
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                start = (
-                    link_read_free if link_read_free > issue else issue
-                )
-                end = start + i0 / link_bpc
-                link_read_free = end
-                done = end + link_lat
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 7:  # host store over the link
-                r = ready[w]
-                free = sm_free[sm]
-                issue = r if r > free else free
-                sm_free[sm] = issue + interval
-                start = (
-                    link_write_free if link_write_free > issue else issue
-                )
-                link_write_free = start + i0 / link_bpc
-                ready[w] = issue + interval
-            else:  # warp end
-                out = outstanding[w]
-                head = out_heads[w]
-                if len(out) > head:
-                    last = max(out[head:])
-                    if last > finish:
-                        finish = last
-                r = ready[w]
-                if r > finish:
-                    finish = r
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    return max(
-        finish,
-        max(next_free),
-        link_read_free,
-        link_write_free,
-        max(sm_free),
-    )
-
-
-def _replay_many_py(tape_cols, warp_mlp_a, iscalars, fscalars_list):
-    """NumPy-over-links twin of :func:`_replay_py`.
-
-    One lane of float64 clock state per requested link: every scalar
-    recurrence of :func:`_replay_py` (``r if r > free else free``
-    maxes, ``+`` accumulations, the ``bytes / link_bpc`` divisions)
-    becomes the elementwise ``np.maximum`` / ``+`` / ``/`` over the
-    lane axis.  Elementwise IEEE double ops are computed per lane
-    exactly as the scalar ops are, in the same order, so each lane is
-    bit-identical to a serial replay at that link.  Branches and the
-    MLP pop decision read only tape payloads and integer counts —
-    link-invariant scalars — so the shared control flow is exact, not
-    approximate.  Lane arrays are always rebound, never mutated, so
-    completion arrays retained in ``outstanding`` stay frozen.
-    """
-    n_links = len(fscalars_list)
-    warp_count = int(iscalars[RI_WARP_COUNT])
-    sm_count = int(iscalars[RI_SM_COUNT])
-    channels = int(iscalars[RI_CHANNELS])
-    packs = np.asarray(fscalars_list, dtype=np.float64)
-    interval = packs[:, RF_INTERVAL].copy()
-    dram_lat = packs[:, RF_DRAM_LAT].copy()
-    arrival_lat = packs[:, RF_ARRIVAL_LAT].copy()
-    link_bpc = packs[:, RF_LINK_BPC].copy()
-    link_lat = packs[:, RF_LINK_LAT].copy()
-    fill_tail = packs[:, RF_FILL_TAIL].copy()
-
-    maximum = np.maximum
-    next_free = np.zeros((channels, n_links))
-    sm_free = np.zeros((sm_count, n_links))
-    link_read_free = np.zeros(n_links)
-    link_write_free = np.zeros(n_links)
-    warp_mlp = warp_mlp_a.tolist()
-    ready = np.zeros((warp_count, n_links))
-    outstanding: list[list] = [[] for _ in range(warp_count)]
-    out_heads = [0] * warp_count
-    finish = np.zeros(n_links)
-
-    rows = zip(*(column.tolist() for column in tape_cols))
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for kind, w, sm, f0, f1, f2, i0, i1, i2, i3, i4, i5 in rows:
-            if kind == 0:  # compute
-                t = maximum(ready[w], sm_free[sm]) + f0
-                sm_free[sm] = t
-                ready[w] = t
-            elif kind == 1:  # load, cache hit
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                done = issue + f0
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 2:  # load, demand fill
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                arrival = issue + arrival_lat
-                if f0:  # serv
-                    end = maximum(next_free[i0], arrival) + f0
-                    next_free[i0] = end
-                    done = end + dram_lat
-                else:
-                    done = arrival
-                meta_ready = arrival
-                if i1:  # mmiss
-                    end = maximum(next_free[i2], arrival) + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                    done = maximum(done, meta_ready)
-                if i3:  # bnum
-                    end = maximum(link_read_free, meta_ready) + i3 / link_bpc
-                    link_read_free = end
-                    done = maximum(done, end + link_lat)
-                if f2:  # wbserv
-                    next_free[i4] = maximum(next_free[i4], arrival) + f2
-                if i5:  # wbbnum
-                    link_write_free = (
-                        maximum(link_write_free, arrival) + i5 / link_bpc
-                    )
-                done = done + fill_tail
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 4:  # store, no memory-system timing
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                ready[w] = issue + interval
-            elif kind == 5:  # store with dirty-eviction writeback
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                if f2:
-                    next_free[i4] = maximum(next_free[i4], issue) + f2
-                if i5:
-                    link_write_free = (
-                        maximum(link_write_free, issue) + i5 / link_bpc
-                    )
-                ready[w] = issue + interval
-            elif kind == 6:  # store with read-modify-write fill
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                if f0:
-                    next_free[i0] = maximum(next_free[i0], issue) + f0
-                meta_ready = issue
-                if i1:
-                    end = maximum(next_free[i2], issue) + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                if i3:
-                    link_read_free = (
-                        maximum(link_read_free, meta_ready) + i3 / link_bpc
-                    )
-                if f2:
-                    next_free[i4] = maximum(next_free[i4], issue) + f2
-                if i5:
-                    link_write_free = (
-                        maximum(link_write_free, issue) + i5 / link_bpc
-                    )
-                ready[w] = issue + interval
-            elif kind == 3:  # host load over the link
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                end = maximum(link_read_free, issue) + i0 / link_bpc
-                link_read_free = end
-                done = end + link_lat
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 7:  # host store over the link
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                link_write_free = (
-                    maximum(link_write_free, issue) + i0 / link_bpc
-                )
-                ready[w] = issue + interval
-            else:  # warp end
-                out = outstanding[w]
-                head = out_heads[w]
-                if len(out) > head:
-                    last = out[head]
-                    for done in out[head + 1:]:
-                        last = maximum(last, done)
-                    finish = maximum(finish, last)
-                finish = maximum(finish, ready[w])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    cycles = maximum(finish, next_free.max(axis=0))
-    cycles = maximum(cycles, link_read_free)
-    cycles = maximum(cycles, link_write_free)
-    cycles = maximum(cycles, sm_free.max(axis=0))
-    return tuple(float(c) for c in cycles)

@@ -1,14 +1,14 @@
 /* Compiled twin of repro/gpusim/_event_core.py.
  *
  * This extension is a line-for-line transcription of the pure-Python
- * event core (`_run_exact_py` / `_replay_py`) over the same packed
+ * event core (`_run_exact_py`) over the same packed
  * struct-of-arrays interface.  The contract is bit identity: every
  * floating-point operation is an IEEE-754 double op issued in the
  * same order as the Python implementation (the build disables FP
  * contraction so no fused multiply-adds sneak in), every integer
  * quantity is an int64, and the scheduler heap reproduces heapq's
  * strict (ready, sequence) total order.  tests/test_event_core.py
- * asserts the identity per run; the CI `compiled-core` job diffs
+ * asserts the identity per run; the CI `event-core` job diffs
  * whole-study digests against the REPRO_NO_EXT fallback.
  *
  * The Python-side dict/list structures map to flat arrays:
@@ -32,7 +32,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define EXT_ABI 2
+#define EXT_ABI 3
 
 /* arrays-tuple slots (mirrors _event_core.A_*) */
 enum {
@@ -66,29 +66,18 @@ enum {
     F_COUNT
 };
 
-/* replay scalar slots (mirrors _event_core.RI_* / RF_*) */
-enum { RI_WARP_COUNT, RI_SM_COUNT, RI_CHANNELS, RI_COUNT };
-enum {
-    RF_INTERVAL, RF_DRAM_LAT, RF_ARRIVAL_LAT,
-    RF_LINK_BPC, RF_LINK_LAT, RF_FILL_TAIL,
-    RF_COUNT
-};
-
 typedef struct {
     Py_buffer view;
     int has;
 } Buf;
 
 static int
-get_buf(PyObject *obj, Buf *b, int writable)
+get_buf(PyObject *obj, Buf *b)
 {
     b->has = 0;
     if (obj == Py_None)
         return 0;
-    if (PyObject_GetBuffer(
-            obj, &b->view,
-            writable ? (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
-                     : PyBUF_C_CONTIGUOUS) < 0)
+    if (PyObject_GetBuffer(obj, &b->view, PyBUF_C_CONTIGUOUS) < 0)
         return -1;
     b->has = 1;
     return 0;
@@ -239,14 +228,13 @@ lru_insert(int64_t *line, int64_t *mask, int64_t *dirty,
 }
 
 /* ------------------------------------------------------------------ */
-/* run_exact(arrays, iscalars, fscalars, tape_cols_or_None)           */
+/* run_exact(arrays, iscalars, fscalars) -> counter tuple            */
 /* ------------------------------------------------------------------ */
 static PyObject *
 run_exact(PyObject *self, PyObject *args)
 {
-    PyObject *arrays, *iscalars_o, *fscalars_o, *tape;
-    if (!PyArg_ParseTuple(args, "OOOO", &arrays, &iscalars_o,
-                          &fscalars_o, &tape))
+    PyObject *arrays, *iscalars_o, *fscalars_o;
+    if (!PyArg_ParseTuple(args, "OOO", &arrays, &iscalars_o, &fscalars_o))
         return NULL;
 
     int64_t isc[I_COUNT];
@@ -258,24 +246,13 @@ run_exact(PyObject *self, PyObject *args)
     Buf bufs[A_COUNT];
     for (Py_ssize_t k = 0; k < A_COUNT; k++)
         bufs[k].has = 0;
-    Buf tbufs[12];
-    for (Py_ssize_t k = 0; k < 12; k++)
-        tbufs[k].has = 0;
 
     PyObject *result = NULL;
 
     for (Py_ssize_t k = 0; k < A_COUNT; k++) {
         PyObject *item = PyTuple_GetItem(arrays, k);
-        if (item == NULL || get_buf(item, &bufs[k], 0) < 0)
+        if (item == NULL || get_buf(item, &bufs[k]) < 0)
             goto cleanup;
-    }
-    int record = tape != Py_None;
-    if (record) {
-        for (Py_ssize_t k = 0; k < 12; k++) {
-            PyObject *item = PyTuple_GetItem(tape, k);
-            if (item == NULL || get_buf(item, &tbufs[k], 1) < 0)
-                goto cleanup;
-        }
     }
 
 #define I64A(idx) ((const int64_t *)bufs[idx].view.buf)
@@ -313,20 +290,6 @@ run_exact(PyObject *self, PyObject *args)
     const int64_t *warp_start = I64A(A_WARP_START);
     const int64_t *warp_sm = I64A(A_WARP_SM);
     const int64_t *warp_mlp = I64A(A_WARP_MLP);
-
-    int8_t *tk = record ? (int8_t *)tbufs[0].view.buf : NULL;
-    int32_t *tw = record ? (int32_t *)tbufs[1].view.buf : NULL;
-    int32_t *tsm = record ? (int32_t *)tbufs[2].view.buf : NULL;
-    double *tf0 = record ? (double *)tbufs[3].view.buf : NULL;
-    double *tf1 = record ? (double *)tbufs[4].view.buf : NULL;
-    double *tf2 = record ? (double *)tbufs[5].view.buf : NULL;
-    int32_t *ti0 = record ? (int32_t *)tbufs[6].view.buf : NULL;
-    int32_t *ti1 = record ? (int32_t *)tbufs[7].view.buf : NULL;
-    int32_t *ti2 = record ? (int32_t *)tbufs[8].view.buf : NULL;
-    int32_t *ti3 = record ? (int32_t *)tbufs[9].view.buf : NULL;
-    int32_t *ti4 = record ? (int32_t *)tbufs[10].view.buf : NULL;
-    int32_t *ti5 = record ? (int32_t *)tbufs[11].view.buf : NULL;
-    Py_ssize_t tidx = 0;
 
     const int64_t warp_count = isc[I_WARP_COUNT];
     const int64_t sm_count = isc[I_SM_COUNT];
@@ -442,11 +405,6 @@ run_exact(PyObject *self, PyObject *args)
             }
             if (ready > finish)
                 finish = ready;
-            if (record) {
-                tk[tidx] = 8;
-                tw[tidx] = (int32_t)w;
-                tidx++;
-            }
             if (heap_len > 0) {
                 ev = heap_pop(heap, &heap_len);
             } else {
@@ -464,13 +422,6 @@ run_exact(PyObject *self, PyObject *args)
         if (code == 0) { /* _COMPUTE */
             next_ready = issue + busy_col[i];
             sm_free[sm] = next_ready;
-            if (record) {
-                tk[tidx] = 0;
-                tw[tidx] = (int32_t)w;
-                tsm[tidx] = (int32_t)sm;
-                tf0[tidx] = busy_col[i];
-                tidx++;
-            }
         } else if (code == 1) { /* _LOAD */
             sm_free[sm] = issue + interval;
             int64_t lid = lid_a[i];
@@ -487,13 +438,6 @@ run_exact(PyObject *self, PyObject *args)
                 l1_hits++;
                 lru_touch(d1_line, d1_mask, NULL, c1, j1, e1);
                 done = issue + l1_lat;
-                if (record) {
-                    tk[tidx] = 1;
-                    tw[tidx] = (int32_t)w;
-                    tsm[tidx] = (int32_t)sm;
-                    tf0[tidx] = l1_lat;
-                    tidx++;
-                }
             } else {
                 l1_misses++;
                 int64_t *d2_line = l2_line + s2 * l2_ways;
@@ -506,20 +450,10 @@ run_exact(PyObject *self, PyObject *args)
                     l2_hits++;
                     lru_touch(d2_line, d2_mask, d2_dirty, c2, j2, e2);
                     done = issue + l2_lat;
-                    if (record) {
-                        tk[tidx] = 1;
-                        tw[tidx] = (int32_t)w;
-                        tsm[tidx] = (int32_t)sm;
-                        tf0[tidx] = l2_lat;
-                        tidx++;
-                    }
                 } else {
                     l2_misses++;
                     double arrival = issue + l2_lat;
                     demand_fills++;
-                    double r_serv = 0.0, r_mserv = 0.0, r_wbserv = 0.0;
-                    int32_t r_ch = 0, r_mmiss = 0, r_mch = 0;
-                    int32_t r_bnum = 0, r_wbch = 0, r_wbbnum = 0;
                     int64_t dev = dev_a[i];
                     int64_t fm = ideal ? msk : full_mask;
                     /* The sectored baseline requests even a
@@ -542,8 +476,6 @@ run_exact(PyObject *self, PyObject *args)
                         next_free[ch] = end;
                         dram_bytes += dev;
                         done = end + dram_lat;
-                        r_serv = serv;
-                        r_ch = (int32_t)ch;
                     } else {
                         done = arrival;
                     }
@@ -588,9 +520,6 @@ run_exact(PyObject *self, PyObject *args)
                             meta_ready = end + dram_lat;
                             if (meta_ready > done)
                                 done = meta_ready;
-                            r_mmiss = 1;
-                            r_mserv = serv;
-                            r_mch = (int32_t)mc;
                         }
                         int64_t bud = bud_a[i];
                         if (bud != 0) {
@@ -605,7 +534,6 @@ run_exact(PyObject *self, PyObject *args)
                             double t = end + link_lat;
                             if (t > done)
                                 done = t;
-                            r_bnum = (int32_t)bnum;
                         }
                     }
                     /* Install (full line for compressed fills). */
@@ -645,8 +573,6 @@ run_exact(PyObject *self, PyObject *args)
                                     vf > arrival ? vf : arrival;
                                 next_free[vch] = vstart + serv;
                                 dram_bytes += num;
-                                r_wbserv = serv;
-                                r_wbch = (int32_t)vch;
                             }
                             if (use_meta) {
                                 int64_t ventry = victim % entries;
@@ -661,27 +587,11 @@ run_exact(PyObject *self, PyObject *args)
                                         (double)wb_bnum[ventry] /
                                             link_bpc;
                                     link_write_bytes += vbud;
-                                    r_wbbnum = (int32_t)wb_bnum[ventry];
                                 }
                             }
                         }
                     }
                     done = done + fill_tail;
-                    if (record) {
-                        tk[tidx] = 2;
-                        tw[tidx] = (int32_t)w;
-                        tsm[tidx] = (int32_t)sm;
-                        tf0[tidx] = r_serv;
-                        tf1[tidx] = r_mserv;
-                        tf2[tidx] = r_wbserv;
-                        ti0[tidx] = r_ch;
-                        ti1[tidx] = r_mmiss;
-                        ti2[tidx] = r_mch;
-                        ti3[tidx] = r_bnum;
-                        ti4[tidx] = r_wbch;
-                        ti5[tidx] = r_wbbnum;
-                        tidx++;
-                    }
                 }
                 /* L1 fill (never dirty; evictions are silent). */
                 if (j1 >= 0) {
@@ -707,10 +617,6 @@ run_exact(PyObject *self, PyObject *args)
             int64_t lid = lid_a[i];
             int64_t msk = mask_a[i];
             int64_t s2 = l2set_a[i];
-            int32_t r_fill = 0;
-            double r_serv = 0.0, r_mserv = 0.0, r_wbserv = 0.0;
-            int32_t r_ch = 0, r_mmiss = 0, r_mch = 0;
-            int32_t r_bnum = 0, r_wbch = 0, r_wbbnum = 0;
             int64_t *d2_line = l2_line + s2 * l2_ways;
             int64_t *d2_mask = l2_mask + s2 * l2_ways;
             int64_t *d2_dirty = l2_dirty + s2 * l2_ways;
@@ -731,7 +637,6 @@ run_exact(PyObject *self, PyObject *args)
                     } else {
                         l2_misses++;
                         demand_fills++;
-                        r_fill = 1;
                         int64_t dev = dev_a[i];
                         int64_t fm = ideal ? msk : full_mask;
                         if (dev != 0) {
@@ -749,8 +654,6 @@ run_exact(PyObject *self, PyObject *args)
                             double start = cf > issue ? cf : issue;
                             next_free[ch] = start + serv;
                             dram_bytes += dev;
-                            r_serv = serv;
-                            r_ch = (int32_t)ch;
                         }
                         if (use_meta) {
                             double meta_ready = issue;
@@ -793,9 +696,6 @@ run_exact(PyObject *self, PyObject *args)
                                 next_free[mc] = end;
                                 dram_bytes += meta_line_bytes;
                                 meta_ready = end + dram_lat;
-                                r_mmiss = 1;
-                                r_mserv = serv;
-                                r_mch = (int32_t)mc;
                             }
                             int64_t bud = bud_a[i];
                             if (bud != 0) {
@@ -808,7 +708,6 @@ run_exact(PyObject *self, PyObject *args)
                                     start + (double)bnum / link_bpc;
                                 link_read_bytes += bud;
                                 buddy_fills++;
-                                r_bnum = (int32_t)bnum;
                             }
                         }
                         /* Install the whole line. */
@@ -844,8 +743,6 @@ run_exact(PyObject *self, PyObject *args)
                                         vf > issue ? vf : issue;
                                     next_free[vch] = vstart + serv;
                                     dram_bytes += num;
-                                    r_wbserv = serv;
-                                    r_wbch = (int32_t)vch;
                                 }
                                 if (use_meta) {
                                     int64_t vbud = wb_bud[ventry];
@@ -859,8 +756,6 @@ run_exact(PyObject *self, PyObject *args)
                                             (double)wb_bnum[ventry] /
                                                 link_bpc;
                                         link_write_bytes += vbud;
-                                        r_wbbnum =
-                                            (int32_t)wb_bnum[ventry];
                                     }
                                 }
                             }
@@ -910,8 +805,6 @@ run_exact(PyObject *self, PyObject *args)
                             double vstart = vf > issue ? vf : issue;
                             next_free[vch] = vstart + serv;
                             dram_bytes += num;
-                            r_wbserv = serv;
-                            r_wbch = (int32_t)vch;
                         }
                         if (use_meta) {
                             int64_t ventry = victim % entries;
@@ -925,41 +818,12 @@ run_exact(PyObject *self, PyObject *args)
                                     vstart +
                                     (double)wb_bnum[ventry] / link_bpc;
                                 link_write_bytes += vbud;
-                                r_wbbnum = (int32_t)wb_bnum[ventry];
                             }
                         }
                     }
                 }
             }
             next_ready = issue + interval;
-            if (record) {
-                if (r_fill) {
-                    tk[tidx] = 6;
-                    tw[tidx] = (int32_t)w;
-                    tsm[tidx] = (int32_t)sm;
-                    tf0[tidx] = r_serv;
-                    tf1[tidx] = r_mserv;
-                    tf2[tidx] = r_wbserv;
-                    ti0[tidx] = r_ch;
-                    ti1[tidx] = r_mmiss;
-                    ti2[tidx] = r_mch;
-                    ti3[tidx] = r_bnum;
-                    ti4[tidx] = r_wbch;
-                    ti5[tidx] = r_wbbnum;
-                } else if (r_wbserv != 0.0 || r_wbbnum != 0) {
-                    tk[tidx] = 5;
-                    tw[tidx] = (int32_t)w;
-                    tsm[tidx] = (int32_t)sm;
-                    tf2[tidx] = r_wbserv;
-                    ti4[tidx] = r_wbch;
-                    ti5[tidx] = r_wbbnum;
-                } else {
-                    tk[tidx] = 4;
-                    tw[tidx] = (int32_t)w;
-                    tsm[tidx] = (int32_t)sm;
-                }
-                tidx++;
-            }
         } else if (code == 3) { /* _HOST_LOAD */
             sm_free[sm] = issue + interval;
             int64_t hbytes = hbytes_a[i];
@@ -970,13 +834,6 @@ run_exact(PyObject *self, PyObject *args)
             link_read_free = end;
             link_read_bytes += hbytes;
             double done = end + link_lat;
-            if (record) {
-                tk[tidx] = 3;
-                tw[tidx] = (int32_t)w;
-                tsm[tidx] = (int32_t)sm;
-                ti0[tidx] = (int32_t)hnum;
-                tidx++;
-            }
             int64_t base = warp_start[w];
             out[base + out_len[w]] = done;
             out_len[w]++;
@@ -996,13 +853,6 @@ run_exact(PyObject *self, PyObject *args)
             link_write_free = start + (double)hnum / link_bpc;
             link_write_bytes += hbytes;
             next_ready = issue + interval;
-            if (record) {
-                tk[tidx] = 7;
-                tw[tidx] = (int32_t)w;
-                tsm[tidx] = (int32_t)sm;
-                ti0[tidx] = (int32_t)hnum;
-                tidx++;
-            }
         }
 
         sequence++;
@@ -1054,742 +904,12 @@ cleanup_state:
     free(heap);
 cleanup:
     release_bufs(bufs, A_COUNT);
-    release_bufs(tbufs, 12);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
-/* replay(tape_cols, warp_mlp, iscalars, fscalars) -> cycles          */
-/* ------------------------------------------------------------------ */
-static PyObject *
-replay(PyObject *self, PyObject *args)
-{
-    PyObject *tape, *mlp_obj, *iscalars_o, *fscalars_o;
-    if (!PyArg_ParseTuple(args, "OOOO", &tape, &mlp_obj, &iscalars_o,
-                          &fscalars_o))
-        return NULL;
-
-    int64_t isc[RI_COUNT];
-    double fsc[RF_COUNT];
-    if (unpack_i64(iscalars_o, isc, RI_COUNT) < 0 ||
-        unpack_f64(fscalars_o, fsc, RF_COUNT) < 0)
-        return NULL;
-
-    Buf tbufs[12];
-    for (Py_ssize_t k = 0; k < 12; k++)
-        tbufs[k].has = 0;
-    Buf mlp_buf;
-    mlp_buf.has = 0;
-
-    PyObject *result = NULL;
-    double *next_free = NULL, *sm_free = NULL, *ready = NULL, *out = NULL;
-    int64_t *out_base = NULL, *out_len = NULL, *out_head = NULL;
-
-    for (Py_ssize_t k = 0; k < 12; k++) {
-        PyObject *item = PyTuple_GetItem(tape, k);
-        if (item == NULL || get_buf(item, &tbufs[k], 0) < 0)
-            goto cleanup;
-    }
-    if (get_buf(mlp_obj, &mlp_buf, 0) < 0)
-        goto cleanup;
-
-    const int8_t *tk = (const int8_t *)tbufs[0].view.buf;
-    const int32_t *tw = (const int32_t *)tbufs[1].view.buf;
-    const int32_t *tsm = (const int32_t *)tbufs[2].view.buf;
-    const double *tf0 = (const double *)tbufs[3].view.buf;
-    const double *tf1 = (const double *)tbufs[4].view.buf;
-    const double *tf2 = (const double *)tbufs[5].view.buf;
-    const int32_t *ti0 = (const int32_t *)tbufs[6].view.buf;
-    const int32_t *ti1 = (const int32_t *)tbufs[7].view.buf;
-    const int32_t *ti2 = (const int32_t *)tbufs[8].view.buf;
-    const int32_t *ti3 = (const int32_t *)tbufs[9].view.buf;
-    const int32_t *ti4 = (const int32_t *)tbufs[10].view.buf;
-    const int32_t *ti5 = (const int32_t *)tbufs[11].view.buf;
-    const int64_t *warp_mlp = (const int64_t *)mlp_buf.view.buf;
-    const Py_ssize_t n_events = tbufs[0].view.len;
-
-    const int64_t warp_count = isc[RI_WARP_COUNT];
-    const int64_t sm_count = isc[RI_SM_COUNT];
-    const int64_t channels = isc[RI_CHANNELS];
-    const double interval = fsc[RF_INTERVAL];
-    const double dram_lat = fsc[RF_DRAM_LAT];
-    const double arrival_lat = fsc[RF_ARRIVAL_LAT];
-    const double link_bpc = fsc[RF_LINK_BPC];
-    const double link_lat = fsc[RF_LINK_LAT];
-    const double fill_tail = fsc[RF_FILL_TAIL];
-
-    next_free = calloc((size_t)channels, sizeof(double));
-    sm_free = calloc((size_t)sm_count, sizeof(double));
-    ready = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                   sizeof(double));
-    out_base = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    out_len = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                     sizeof(int64_t));
-    out_head = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    if (!next_free || !sm_free || !ready || !out_base || !out_len ||
-        !out_head) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-    /* Partition one flat completion array by each warp's number of
-     * completing events (kinds 1/2/3). */
-    Py_ssize_t total_out = 0;
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        if (kind == 1 || kind == 2 || kind == 3) {
-            out_base[tw[e]]++;
-            total_out++;
-        }
-    }
-    {
-        int64_t acc = 0;
-        for (int64_t w = 0; w < warp_count; w++) {
-            int64_t c = out_base[w];
-            out_base[w] = acc;
-            acc += c;
-        }
-    }
-    out = malloc(sizeof(double) * (size_t)(total_out > 0 ? total_out : 1));
-    if (!out) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-
-    double link_read_free = 0.0;
-    double link_write_free = 0.0;
-    double finish = 0.0;
-
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        int64_t w = tw[e];
-        int64_t sm = tsm[e];
-        if (kind == 8) { /* warp end */
-            int64_t head = out_head[w];
-            int64_t base = out_base[w];
-            if (out_len[w] > head) {
-                double last = out[base + head];
-                for (int64_t k = head + 1; k < out_len[w]; k++)
-                    if (out[base + k] > last)
-                        last = out[base + k];
-                if (last > finish)
-                    finish = last;
-            }
-            if (ready[w] > finish)
-                finish = ready[w];
-            continue;
-        }
-        double r = ready[w];
-        double free_t = sm_free[sm];
-        double issue = r > free_t ? r : free_t;
-        if (kind == 0) { /* compute */
-            double t = issue + tf0[e];
-            sm_free[sm] = t;
-            ready[w] = t;
-            continue;
-        }
-        sm_free[sm] = issue + interval;
-        if (kind == 1) { /* load, cache hit */
-            double done = issue + tf0[e];
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else if (kind == 2) { /* load, demand fill */
-            double arrival = issue + arrival_lat;
-            double done;
-            double serv = tf0[e];
-            if (serv != 0.0) {
-                int64_t ch = ti0[e];
-                double cf = next_free[ch];
-                double start = cf > arrival ? cf : arrival;
-                double end = start + serv;
-                next_free[ch] = end;
-                done = end + dram_lat;
-            } else {
-                done = arrival;
-            }
-            double meta_ready = arrival;
-            if (ti1[e]) { /* mmiss */
-                int64_t mch = ti2[e];
-                double cf = next_free[mch];
-                double start = cf > arrival ? cf : arrival;
-                double end = start + tf1[e];
-                next_free[mch] = end;
-                meta_ready = end + dram_lat;
-                if (meta_ready > done)
-                    done = meta_ready;
-            }
-            if (ti3[e]) { /* bnum */
-                double start = link_read_free > meta_ready
-                                   ? link_read_free
-                                   : meta_ready;
-                double end = start + (double)ti3[e] / link_bpc;
-                link_read_free = end;
-                double t = end + link_lat;
-                if (t > done)
-                    done = t;
-            }
-            if (tf2[e] != 0.0) { /* wbserv */
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > arrival ? cf : arrival;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) { /* wbbnum */
-                double start = link_write_free > arrival
-                                   ? link_write_free
-                                   : arrival;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            done = done + fill_tail;
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else if (kind == 4) { /* store, no memory-system timing */
-            ready[w] = issue + interval;
-        } else if (kind == 5) { /* store with dirty-eviction writeback */
-            if (tf2[e] != 0.0) {
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > issue ? cf : issue;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) {
-                double start = link_write_free > issue
-                                   ? link_write_free
-                                   : issue;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            ready[w] = issue + interval;
-        } else if (kind == 6) { /* store with read-modify-write fill */
-            if (tf0[e] != 0.0) {
-                int64_t ch = ti0[e];
-                double cf = next_free[ch];
-                double start = cf > issue ? cf : issue;
-                next_free[ch] = start + tf0[e];
-            }
-            double meta_ready = issue;
-            if (ti1[e]) {
-                int64_t mch = ti2[e];
-                double cf = next_free[mch];
-                double start = cf > issue ? cf : issue;
-                double end = start + tf1[e];
-                next_free[mch] = end;
-                meta_ready = end + dram_lat;
-            }
-            if (ti3[e]) {
-                double start = link_read_free > meta_ready
-                                   ? link_read_free
-                                   : meta_ready;
-                link_read_free = start + (double)ti3[e] / link_bpc;
-            }
-            if (tf2[e] != 0.0) {
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > issue ? cf : issue;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) {
-                double start = link_write_free > issue
-                                   ? link_write_free
-                                   : issue;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            ready[w] = issue + interval;
-        } else if (kind == 3) { /* host load over the link */
-            double start =
-                link_read_free > issue ? link_read_free : issue;
-            double end = start + (double)ti0[e] / link_bpc;
-            link_read_free = end;
-            double done = end + link_lat;
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else { /* kind == 7: host store over the link */
-            double start =
-                link_write_free > issue ? link_write_free : issue;
-            link_write_free = start + (double)ti0[e] / link_bpc;
-            ready[w] = issue + interval;
-        }
-    }
-
-    {
-        double cycles = finish;
-        for (int64_t c = 0; c < channels; c++)
-            if (next_free[c] > cycles)
-                cycles = next_free[c];
-        if (link_read_free > cycles)
-            cycles = link_read_free;
-        if (link_write_free > cycles)
-            cycles = link_write_free;
-        for (int64_t s = 0; s < sm_count; s++)
-            if (sm_free[s] > cycles)
-                cycles = sm_free[s];
-        result = PyFloat_FromDouble(cycles);
-    }
-
-cleanup:
-    free(next_free); free(sm_free); free(ready); free(out);
-    free(out_base); free(out_len); free(out_head);
-    release_bufs(tbufs, 12);
-    if (mlp_buf.has)
-        PyBuffer_Release(&mlp_buf.view);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
-/* replay_many(tape_cols, warp_mlp, iscalars, fscalars_packs)         */
-/*     -> tuple of per-link cycles                                    */
-/*                                                                    */
-/* Batched twin of replay(): one pass over the tape advances every    */
-/* requested link together.  Control flow (branches, the MLP pop)     */
-/* depends only on link-invariant tape payloads, so it is hoisted to  */
-/* the event level; the per-link clock state lives in link-minor      */
-/* arrays (state[slot * n_links + l]) walked by a tight inner loop    */
-/* over the RF_* hot scalars.  Each lane performs exactly the IEEE    */
-/* double ops of a serial replay() at that link, in the same order,   */
-/* so the per-link results are bit-identical to serial calls (and to  */
-/* _replay_many_py's NumPy lanes).                                    */
-/* ------------------------------------------------------------------ */
-static PyObject *
-replay_many(PyObject *self, PyObject *args)
-{
-    PyObject *tape, *mlp_obj, *iscalars_o, *fpacks_o;
-    if (!PyArg_ParseTuple(args, "OOOO", &tape, &mlp_obj, &iscalars_o,
-                          &fpacks_o))
-        return NULL;
-
-    int64_t isc[RI_COUNT];
-    if (unpack_i64(iscalars_o, isc, RI_COUNT) < 0)
-        return NULL;
-    if (!PyTuple_Check(fpacks_o)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fscalars_packs must be a tuple of RF_* tuples");
-        return NULL;
-    }
-    const Py_ssize_t n_links = PyTuple_Size(fpacks_o);
-    if (n_links == 0)
-        return PyTuple_New(0);
-
-    Buf tbufs[12];
-    for (Py_ssize_t k = 0; k < 12; k++)
-        tbufs[k].has = 0;
-    Buf mlp_buf;
-    mlp_buf.has = 0;
-
-    PyObject *result = NULL;
-    double *fsc = NULL;
-    double *next_free = NULL, *sm_free = NULL, *ready = NULL, *out = NULL;
-    double *link_read_free = NULL, *link_write_free = NULL, *finish = NULL;
-    int64_t *out_base = NULL, *out_len = NULL, *out_head = NULL;
-
-    fsc = malloc(sizeof(double) * (size_t)n_links * RF_COUNT);
-    if (!fsc) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-    for (Py_ssize_t l = 0; l < n_links; l++) {
-        PyObject *pack = PyTuple_GetItem(fpacks_o, l);
-        if (pack == NULL ||
-            unpack_f64(pack, fsc + l * RF_COUNT, RF_COUNT) < 0)
-            goto cleanup;
-    }
-
-    for (Py_ssize_t k = 0; k < 12; k++) {
-        PyObject *item = PyTuple_GetItem(tape, k);
-        if (item == NULL || get_buf(item, &tbufs[k], 0) < 0)
-            goto cleanup;
-    }
-    if (get_buf(mlp_obj, &mlp_buf, 0) < 0)
-        goto cleanup;
-
-    const int8_t *tk = (const int8_t *)tbufs[0].view.buf;
-    const int32_t *tw = (const int32_t *)tbufs[1].view.buf;
-    const int32_t *tsm = (const int32_t *)tbufs[2].view.buf;
-    const double *tf0 = (const double *)tbufs[3].view.buf;
-    const double *tf1 = (const double *)tbufs[4].view.buf;
-    const double *tf2 = (const double *)tbufs[5].view.buf;
-    const int32_t *ti0 = (const int32_t *)tbufs[6].view.buf;
-    const int32_t *ti1 = (const int32_t *)tbufs[7].view.buf;
-    const int32_t *ti2 = (const int32_t *)tbufs[8].view.buf;
-    const int32_t *ti3 = (const int32_t *)tbufs[9].view.buf;
-    const int32_t *ti4 = (const int32_t *)tbufs[10].view.buf;
-    const int32_t *ti5 = (const int32_t *)tbufs[11].view.buf;
-    const int64_t *warp_mlp = (const int64_t *)mlp_buf.view.buf;
-    const Py_ssize_t n_events = tbufs[0].view.len;
-
-    const int64_t warp_count = isc[RI_WARP_COUNT];
-    const int64_t sm_count = isc[RI_SM_COUNT];
-    const int64_t channels = isc[RI_CHANNELS];
-
-    next_free = calloc((size_t)channels * n_links, sizeof(double));
-    sm_free = calloc((size_t)sm_count * n_links, sizeof(double));
-    ready = calloc((size_t)(warp_count > 0 ? warp_count : 1) * n_links,
-                   sizeof(double));
-    link_read_free = calloc((size_t)n_links, sizeof(double));
-    link_write_free = calloc((size_t)n_links, sizeof(double));
-    finish = calloc((size_t)n_links, sizeof(double));
-    out_base = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    out_len = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                     sizeof(int64_t));
-    out_head = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    if (!next_free || !sm_free || !ready || !link_read_free ||
-        !link_write_free || !finish || !out_base || !out_len ||
-        !out_head) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-    /* Partition one flat completion array by each warp's number of
-     * completing events (kinds 1/2/3); one lane block per event. */
-    Py_ssize_t total_out = 0;
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        if (kind == 1 || kind == 2 || kind == 3) {
-            out_base[tw[e]]++;
-            total_out++;
-        }
-    }
-    {
-        int64_t acc = 0;
-        for (int64_t w = 0; w < warp_count; w++) {
-            int64_t c = out_base[w];
-            out_base[w] = acc;
-            acc += c;
-        }
-    }
-    out = malloc(sizeof(double) *
-                 (size_t)(total_out > 0 ? total_out : 1) * n_links);
-    if (!out) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        int64_t w = tw[e];
-        int64_t sm = tsm[e];
-        if (kind == 8) { /* warp end */
-            int64_t head = out_head[w];
-            int64_t base = out_base[w];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                if (out_len[w] > head) {
-                    double last = out[(base + head) * n_links + l];
-                    for (int64_t k = head + 1; k < out_len[w]; k++) {
-                        double v = out[(base + k) * n_links + l];
-                        if (v > last)
-                            last = v;
-                    }
-                    if (last > finish[l])
-                        finish[l] = last;
-                }
-                if (ready[w * n_links + l] > finish[l])
-                    finish[l] = ready[w * n_links + l];
-            }
-            continue;
-        }
-        if (kind == 0) { /* compute */
-            double busy = tf0[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                double t = issue + busy;
-                sm_free[sm * n_links + l] = t;
-                ready[w * n_links + l] = t;
-            }
-            continue;
-        }
-        if (kind == 1) { /* load, cache hit */
-            int64_t base = out_base[w];
-            int64_t pos = out_len[w];
-            int64_t head = out_head[w];
-            int pop = (pos + 1 - head >= warp_mlp[w]);
-            double lat = tf0[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                out[(base + pos) * n_links + l] = issue + lat;
-                if (pop)
-                    ready[w * n_links + l] =
-                        out[(base + head) * n_links + l];
-                else
-                    ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-            out_len[w] = pos + 1;
-            if (pop)
-                out_head[w] = head + 1;
-        } else if (kind == 2) { /* load, demand fill */
-            int64_t base = out_base[w];
-            int64_t pos = out_len[w];
-            int64_t head = out_head[w];
-            int pop = (pos + 1 - head >= warp_mlp[w]);
-            double serv = tf0[e];
-            double mserv = tf1[e];
-            double wbserv = tf2[e];
-            int64_t ch = ti0[e];
-            int64_t mmiss = ti1[e];
-            int64_t mch = ti2[e];
-            int64_t bnum = ti3[e];
-            int64_t wbch = ti4[e];
-            int64_t wbbnum = ti5[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                double arrival = issue + f[RF_ARRIVAL_LAT];
-                double done;
-                if (serv != 0.0) {
-                    double cf = next_free[ch * n_links + l];
-                    double start = cf > arrival ? cf : arrival;
-                    double end = start + serv;
-                    next_free[ch * n_links + l] = end;
-                    done = end + f[RF_DRAM_LAT];
-                } else {
-                    done = arrival;
-                }
-                double meta_ready = arrival;
-                if (mmiss) {
-                    double cf = next_free[mch * n_links + l];
-                    double start = cf > arrival ? cf : arrival;
-                    double end = start + mserv;
-                    next_free[mch * n_links + l] = end;
-                    meta_ready = end + f[RF_DRAM_LAT];
-                    if (meta_ready > done)
-                        done = meta_ready;
-                }
-                if (bnum) {
-                    double start = link_read_free[l] > meta_ready
-                                       ? link_read_free[l]
-                                       : meta_ready;
-                    double end = start + (double)bnum / f[RF_LINK_BPC];
-                    link_read_free[l] = end;
-                    double t = end + f[RF_LINK_LAT];
-                    if (t > done)
-                        done = t;
-                }
-                if (wbserv != 0.0) {
-                    double cf = next_free[wbch * n_links + l];
-                    double start = cf > arrival ? cf : arrival;
-                    next_free[wbch * n_links + l] = start + wbserv;
-                }
-                if (wbbnum) {
-                    double start = link_write_free[l] > arrival
-                                       ? link_write_free[l]
-                                       : arrival;
-                    link_write_free[l] =
-                        start + (double)wbbnum / f[RF_LINK_BPC];
-                }
-                done = done + f[RF_FILL_TAIL];
-                out[(base + pos) * n_links + l] = done;
-                if (pop)
-                    ready[w * n_links + l] =
-                        out[(base + head) * n_links + l];
-                else
-                    ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-            out_len[w] = pos + 1;
-            if (pop)
-                out_head[w] = head + 1;
-        } else if (kind == 4) { /* store, no memory-system timing */
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-        } else if (kind == 5) { /* store with dirty-eviction writeback */
-            double wbserv = tf2[e];
-            int64_t wbch = ti4[e];
-            int64_t wbbnum = ti5[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                if (wbserv != 0.0) {
-                    double cf = next_free[wbch * n_links + l];
-                    double start = cf > issue ? cf : issue;
-                    next_free[wbch * n_links + l] = start + wbserv;
-                }
-                if (wbbnum) {
-                    double start = link_write_free[l] > issue
-                                       ? link_write_free[l]
-                                       : issue;
-                    link_write_free[l] =
-                        start + (double)wbbnum / f[RF_LINK_BPC];
-                }
-                ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-        } else if (kind == 6) { /* store with read-modify-write fill */
-            double serv = tf0[e];
-            double mserv = tf1[e];
-            double wbserv = tf2[e];
-            int64_t ch = ti0[e];
-            int64_t mmiss = ti1[e];
-            int64_t mch = ti2[e];
-            int64_t bnum = ti3[e];
-            int64_t wbch = ti4[e];
-            int64_t wbbnum = ti5[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                if (serv != 0.0) {
-                    double cf = next_free[ch * n_links + l];
-                    double start = cf > issue ? cf : issue;
-                    next_free[ch * n_links + l] = start + serv;
-                }
-                double meta_ready = issue;
-                if (mmiss) {
-                    double cf = next_free[mch * n_links + l];
-                    double start = cf > issue ? cf : issue;
-                    double end = start + mserv;
-                    next_free[mch * n_links + l] = end;
-                    meta_ready = end + f[RF_DRAM_LAT];
-                }
-                if (bnum) {
-                    double start = link_read_free[l] > meta_ready
-                                       ? link_read_free[l]
-                                       : meta_ready;
-                    link_read_free[l] =
-                        start + (double)bnum / f[RF_LINK_BPC];
-                }
-                if (wbserv != 0.0) {
-                    double cf = next_free[wbch * n_links + l];
-                    double start = cf > issue ? cf : issue;
-                    next_free[wbch * n_links + l] = start + wbserv;
-                }
-                if (wbbnum) {
-                    double start = link_write_free[l] > issue
-                                       ? link_write_free[l]
-                                       : issue;
-                    link_write_free[l] =
-                        start + (double)wbbnum / f[RF_LINK_BPC];
-                }
-                ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-        } else if (kind == 3) { /* host load over the link */
-            int64_t base = out_base[w];
-            int64_t pos = out_len[w];
-            int64_t head = out_head[w];
-            int pop = (pos + 1 - head >= warp_mlp[w]);
-            int64_t hnum = ti0[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                double start = link_read_free[l] > issue
-                                   ? link_read_free[l]
-                                   : issue;
-                double end = start + (double)hnum / f[RF_LINK_BPC];
-                link_read_free[l] = end;
-                out[(base + pos) * n_links + l] = end + f[RF_LINK_LAT];
-                if (pop)
-                    ready[w * n_links + l] =
-                        out[(base + head) * n_links + l];
-                else
-                    ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-            out_len[w] = pos + 1;
-            if (pop)
-                out_head[w] = head + 1;
-        } else { /* kind 7: host store over the link */
-            int64_t hnum = ti0[e];
-            for (Py_ssize_t l = 0; l < n_links; l++) {
-                const double *f = fsc + l * RF_COUNT;
-                double r = ready[w * n_links + l];
-                double free_t = sm_free[sm * n_links + l];
-                double issue = r > free_t ? r : free_t;
-                sm_free[sm * n_links + l] = issue + f[RF_INTERVAL];
-                double start = link_write_free[l] > issue
-                                   ? link_write_free[l]
-                                   : issue;
-                link_write_free[l] =
-                    start + (double)hnum / f[RF_LINK_BPC];
-                ready[w * n_links + l] = issue + f[RF_INTERVAL];
-            }
-        }
-    }
-
-    result = PyTuple_New(n_links);
-    if (result == NULL)
-        goto cleanup;
-    for (Py_ssize_t l = 0; l < n_links; l++) {
-        double cycles = finish[l];
-        for (int64_t c = 0; c < channels; c++)
-            if (next_free[c * n_links + l] > cycles)
-                cycles = next_free[c * n_links + l];
-        if (link_read_free[l] > cycles)
-            cycles = link_read_free[l];
-        if (link_write_free[l] > cycles)
-            cycles = link_write_free[l];
-        for (int64_t s = 0; s < sm_count; s++)
-            if (sm_free[s * n_links + l] > cycles)
-                cycles = sm_free[s * n_links + l];
-        PyObject *value = PyFloat_FromDouble(cycles);
-        if (value == NULL) {
-            Py_CLEAR(result);
-            goto cleanup;
-        }
-        PyTuple_SET_ITEM(result, l, value);
-    }
-
-cleanup:
-    free(fsc);
-    free(next_free); free(sm_free); free(ready); free(out);
-    free(link_read_free); free(link_write_free); free(finish);
-    free(out_base); free(out_len); free(out_head);
-    release_bufs(tbufs, 12);
-    if (mlp_buf.has)
-        PyBuffer_Release(&mlp_buf.view);
     return result;
 }
 
 static PyMethodDef event_core_methods[] = {
     {"run_exact", run_exact, METH_VARARGS,
-     "run_exact(arrays, iscalars, fscalars, tape_cols_or_None) -> "
-     "counter tuple"},
-    {"replay", replay, METH_VARARGS,
-     "replay(tape_cols, warp_mlp, iscalars, fscalars) -> cycles"},
-    {"replay_many", replay_many, METH_VARARGS,
-     "replay_many(tape_cols, warp_mlp, iscalars, fscalars_packs) -> "
-     "tuple of per-link cycles"},
+     "run_exact(arrays, iscalars, fscalars) -> counter tuple"},
     {NULL, NULL, 0, NULL},
 };
 

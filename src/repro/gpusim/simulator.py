@@ -204,72 +204,43 @@ class _MemorySystem:
 
 
 #: Engines selectable on :class:`DependencyDrivenSimulator`.
-ENGINES = ("vectorized", "relaxed", "legacy")
+ENGINES = ("vectorized", "legacy")
+
+
+def check_engine(name: str) -> str:
+    """Return ``name`` if it is one of :data:`ENGINES`, else raise.
+
+    The one validation point for engine names: the simulator front
+    door and the timing studies' ``engine_spec=`` both call it, so an
+    unknown name fails before any design point runs.
+    """
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of: {', '.join(ENGINES)}"
+        )
+    return name
 
 
 class DependencyDrivenSimulator:
     """The fast simulator (Fig. 10's subject; Fig. 11's instrument).
 
-    Three interchangeable engines implement the same machine (the
-    full three-way contract is documented in ``docs/engines.md``):
+    Two interchangeable engines implement the same machine (the
+    contract is documented in ``docs/engines.md``):
 
     * ``"vectorized"`` (default) — the batched-event core in
       :mod:`repro.gpusim.vector_sim`: per-access quantities resolve as
       whole-trace array operations, events advance in the same
       ``(ready, sequence)`` order over prepared columns.  Identical
       counters and bit-identical cycles to the oracle, everywhere.
-    * ``"relaxed"`` — the frozen-order tape engine
-      (:class:`repro.gpusim.vector_sim.RelaxedSimulator`): traffic is
-      resolved once, in the exact event order of the reference
-      interconnect, and every other link bandwidth replays the frozen
-      tape.  Exact at the reference interconnect; counters and cycles
-      within the pinned tolerances elsewhere.  ``verify`` selects the
-      fraction of runs cross-checked against the legacy oracle
-      (``verify=1.0`` checks every run; the sample is deterministic
-      per design point), and ``tolerance`` optionally overrides the
-      pinned verification tolerances for those cross-checks.
     * ``"legacy"`` — the original per-access engine below, kept as the
-      correctness oracle.
+      independent correctness oracle.
 
-    The equivalence contracts are pinned by ``tests/test_vector_sim.py``
-    and ``tests/test_relaxed_sim.py``.
+    The equivalence contract is pinned by ``tests/test_vector_sim.py``.
     """
 
-    def __init__(
-        self,
-        config: GPUConfig,
-        engine: str = "vectorized",
-        verify: float = 0.0,
-        tolerance: float | None = None,
-    ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if verify and engine != "relaxed":
-            raise ValueError(
-                "verify= cross-checking is the relaxed engine's escape "
-                f"hatch; engine {engine!r} is already exact"
-            )
-        if tolerance is not None and engine != "relaxed":
-            raise ValueError(
-                "tolerance= loosens the relaxed engine's verification "
-                f"contract; engine {engine!r} has no tolerances"
-            )
+    def __init__(self, config: GPUConfig, engine: str = "vectorized") -> None:
         self.config = config
-        self.engine = engine
-        self.verify = verify
-        self.tolerance = tolerance
-
-    @classmethod
-    def from_spec(cls, config: GPUConfig, spec) -> DependencyDrivenSimulator:
-        """Build from an :class:`repro.gpusim.engine_spec.EngineSpec`
-        (or its string form) — the preferred selection surface."""
-        from repro.gpusim.engine_spec import EngineSpec
-
-        if not isinstance(spec, EngineSpec):
-            spec = EngineSpec.parse(spec)
-        return cls(config, spec.name, spec.verify, tolerance=spec.tolerance)
+        self.engine = check_engine(engine)
 
     def run(self, trace: KernelTrace, state: CompressionState) -> SimResult:
         """Simulate a kernel trace under a compression state."""
@@ -277,12 +248,6 @@ class DependencyDrivenSimulator:
             from repro.gpusim.vector_sim import VectorizedSimulator
 
             return VectorizedSimulator(self.config).run(trace, state)
-        if self.engine == "relaxed":
-            from repro.gpusim.vector_sim import RelaxedSimulator
-
-            return RelaxedSimulator(
-                self.config, self.verify, self.tolerance
-            ).run(trace, state)
         return self._run_legacy(trace, state)
 
     def _run_legacy(

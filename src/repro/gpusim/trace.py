@@ -20,9 +20,8 @@ Traces carry two interchangeable representations of the same streams:
 * per-warp ``(op, a, b)`` tuple lists (:class:`WarpTrace`) — the
   legacy representation the per-access oracle engine walks.  It is
   materialised lazily from the columns, so a run confined to the
-  columnar consumers (the vectorized and relaxed engines, the
-  cycle-stepped reference, the metadata study) never builds a single
-  tuple; :data:`tuple_materialisations` counts every decode so tests
+  columnar consumers (the vectorized engine, the cycle-stepped
+  reference, the metadata study) never builds a single tuple; :data:`tuple_materialisations` counts every decode so tests
   can pin that property.
 
 Both views decode to identical instruction streams; the equivalence

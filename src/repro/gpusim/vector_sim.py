@@ -62,49 +62,11 @@ The resolution tables deliberately split along reuse boundaries:
   (:func:`_machine_key`): link bandwidth only scales the runtime
   divisions inside the event core, so one per-state resolution
   serves the whole Fig. 11 link sweep.
-
-The relaxed engine (below) adds a third layer with the same shape:
-the **event tape** recorded by one exact-order run is keyed per
-``(trace, state, machine geometry)`` and replayed at every link
-bandwidth of the sweep.
-
-The relaxed engine
-------------------
-
-``engine="relaxed"`` (:class:`RelaxedSimulator`) trades exact
-scheduling for wall-clock by *freezing the event order*.  One
-exact-order pass at the canonical reference interconnect
-(:data:`REFERENCE_LINK_GBPS`, the paper's six-brick NVLink2 point that
-Fig. 11 normalises against) records a compact per-event tape — who
-issued, what it hit, which DRAM channel/row service it consumed,
-how many buddy bytes moved.  Every other link bandwidth *replays*
-that tape: the order and all traffic outcomes are frozen, and only
-the timing recurrences (SM issue slots, channel queues, link
-occupancy, warp memory-level parallelism) are recomputed.
-
-The contract this buys (pinned by ``tests/test_relaxed_sim.py``):
-
-* at the reference interconnect the relaxed engine *is* the exact
-  engine — bit-identical counters and cycles;
-* traffic counters are link-invariant by construction, and within
-  :data:`RELAXED_COUNTER_TOLERANCE` of the legacy oracle at every
-  other link (the oracle's own counters drift by a similar margin
-  across the sweep, because scheduling feeds back into cache order);
-* cycles are within :data:`RELAXED_CYCLE_TOLERANCE` everywhere, and
-  *exact* where order is provably immaterial — single-warp traces,
-  traces whose warps share no memory-system resources, and any
-  IDEAL-mode trace without host traffic (no link dependence at all);
-* ``verify=`` cross-checks a deterministic sample of runs against
-  the legacy oracle at full fidelity and raises
-  :class:`RelaxedVerificationError` on a contract violation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import weakref
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -140,42 +102,12 @@ _POPCOUNT4 = [bin(mask).count("1") for mask in range(16)]
 
 _FULL = (1 << SECTORS_PER_ENTRY) - 1
 
-#: The canonical interconnect the relaxed engine resolves traffic at:
-#: six NVLink2 bricks, the point Fig. 11 normalises against.  Tape
-#: order (and therefore every traffic counter) is frozen at this
-#: bandwidth and shared by the whole link sweep.
-REFERENCE_LINK_GBPS = 150.0
-
-#: Pinned relaxed-engine tolerances.  Off the reference interconnect,
-#: the frozen order deviates from the oracle's link-specific schedule;
-#: the observed drift on the Fig. 10/11 grids is well under these
-#: bounds (see tests/test_relaxed_sim.py, which sweeps the full grid
-#: and asserts the margins).  Counters get a relative bound plus an
-#: absolute floor of :data:`RELAXED_COUNTER_FLOOR_EVENTS` transfer
-#: events: a benchmark with almost no buddy traffic (370.bt moves a
-#: few dozen buddy fills) sees the oracle's *own* counters wander by
-#: a handful of borderline evictions between link points, so a purely
-#: relative bound on a tiny counter would be noise-tight.
-RELAXED_CYCLE_TOLERANCE = 0.01
-RELAXED_COUNTER_TOLERANCE = 0.02
-RELAXED_COUNTER_FLOOR_EVENTS = 16
-
-
-class RelaxedVerificationError(AssertionError):
-    """A relaxed-engine result broke its contract against the oracle."""
-
-
 #: Per-trace column memos.  Values hold their states/configs strongly
 #: (keeping ids valid); entries die with their trace.
 _GEOMETRY_MEMO: "weakref.WeakKeyDictionary[KernelTrace, dict]" = (
     weakref.WeakKeyDictionary()
 )
 _STATE_MEMO: "weakref.WeakKeyDictionary[KernelTrace, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: Relaxed-engine tape memo: (state id, machine key, link latency,
-#: link derate) -> (state, tape, reference SimResult).
-_TAPE_MEMO: "weakref.WeakKeyDictionary[KernelTrace, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -417,74 +349,18 @@ def _state_columns(
     return geometry, columns
 
 
-class _Tape:
-    """A frozen exact-order event stream plus its replay constants.
-
-    ``cols`` holds the compacted struct-of-arrays event stream — the
-    12-column pack of :mod:`repro.gpusim._event_core` (kind, warp, SM,
-    three float payloads, six int payloads), one row per scheduler
-    pop, in the exact ``(ready, sequence)`` order of the recording
-    run.  Each row carries everything the timing replay needs — the
-    *resolved* resource charges (DRAM service incl. row overhead,
-    channel index, metadata outcome, link payload bytes, writeback
-    charges).  Cache and row-buffer outcomes are order-determined, so
-    they are part of the tape, not of the replay.
-
-    Columns replaced the historical ``events: list[tuple]``: at ~57
-    bytes per event they cost a fraction of the tuple stream's boxed
-    floats, which is what makes very long tapes safe to memoise
-    (``tests/test_event_core.py`` pins the reduction).
-    """
-
-    __slots__ = (
-        "cols", "warp_mlp", "warp_count", "sm_count", "channels",
-        "fill_tail",
-    )
-
-    def __init__(self) -> None:
-        self.cols = None
-
-    @property
-    def event_count(self) -> int:
-        return 0 if self.cols is None else int(self.cols[0].shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Retained tape storage (the column buffers)."""
-        if self.cols is None:
-            return 0
-        return sum(int(column.nbytes) for column in self.cols)
-
-
-#: Tape event kinds (the ``kind`` column; payload per kind is the
-#: column mapping documented in :mod:`repro.gpusim._event_core`).
-_T_COMPUTE = 0      # f0=busy
-_T_LOAD_HIT = 1     # f0=latency
-_T_LOAD_FILL = 2    # f0=serv f1=mserv f2=wbserv
-#                     i0=ch i1=mmiss i2=mch i3=bnum i4=wbch i5=wbbnum
-_T_HOST_LOAD = 3    # i0=hnum
-_T_STORE = 4        # (no payload)
-_T_STORE_WB = 5     # f2=wbserv i4=wbch i5=wbbnum
-_T_STORE_RMW = 6    # same payload as _T_LOAD_FILL
-_T_HOST_STORE = 7   # i0=hnum
-_T_WARP_END = 8     # (no payload)
-
-
 class VectorizedSimulator:
     """The batched-event engine behind ``engine="vectorized"``."""
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
 
-    def run(self, trace: KernelTrace, state: CompressionState, _tape=None):
+    def run(self, trace: KernelTrace, state: CompressionState):
         """Simulate a kernel trace under a compression state.
 
         Returns a :class:`repro.gpusim.simulator.SimResult` whose
         traffic counters are identical to the legacy engine's and
         whose cycle count is bit-identical.
-
-        ``_tape`` (internal, used by :class:`RelaxedSimulator`) is a
-        :class:`_Tape` to record the event stream into while running.
         """
         from repro.gpusim.simulator import SimResult
 
@@ -492,7 +368,6 @@ class VectorizedSimulator:
         geometry, columns = _state_columns(trace, state, config)
         ideal = columns.ideal
         use_meta = columns.use_meta
-        record = _tape is not None
 
         chan_bpc = config.dram_bytes_per_cycle_per_channel
         fill_tail = (
@@ -538,8 +413,8 @@ class VectorizedSimulator:
             ROW_MISS_OVERHEAD,
         )
 
-        counters, tape_cols = _event_core.run_exact(
-            arrays, iscalars, fscalars, record,
+        counters = _event_core.run_exact(
+            arrays, iscalars, fscalars,
             geo_cache=geometry.rows_cache,
             state_cache=columns.rows_cache,
         )
@@ -548,14 +423,6 @@ class VectorizedSimulator:
             link_read_bytes, link_write_bytes, meta_hits, meta_misses,
             buddy_fills, demand_fills,
         ) = counters
-
-        if record:
-            _tape.cols = tape_cols
-            _tape.warp_mlp = geometry.warp_mlp
-            _tape.warp_count = warp_count
-            _tape.sm_count = config.sm_count
-            _tape.channels = config.dram_channels
-            _tape.fill_tail = float(fill_tail)
 
         l1_total = l1_hits + l1_misses
         l2_total = l2_hits + l2_misses
@@ -573,567 +440,3 @@ class VectorizedSimulator:
             buddy_fills=buddy_fills,
             demand_fills=demand_fills,
         )
-
-
-# ---------------------------------------------------------------------------
-# The relaxed-order engine: frozen-order tape replay across the link
-# sweep.
-# ---------------------------------------------------------------------------
-def _resolve_tape(
-    trace: KernelTrace,
-    state: CompressionState,
-    config,
-    need_tape: bool,
-):
-    """The memoised (tape, reference result) for a design point.
-
-    Recording runs the exact engine once at the reference interconnect
-    (:data:`REFERENCE_LINK_GBPS`); the tape and the reference
-    :class:`SimResult` are shared by every link bandwidth of the same
-    ``(trace, state, machine geometry)``.
-
-    Recording is lazy: a point only ever simulated *at* the reference
-    interconnect (``need_tape=False``) runs the plain exact engine and
-    memoises just the result, so reference-only relaxed runs cost the
-    same as vectorized ones and hold no tape.  The first off-reference
-    request upgrades the memo by re-running with recording on (the
-    rerun is deterministic, so the reference result is unchanged).
-    """
-    link = config.link
-    key = (id(state), _machine_key(config), link.latency_cycles, link.derate)
-    per_trace = _TAPE_MEMO.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _TAPE_MEMO[trace] = per_trace
-    hit = per_trace.get(key)
-    if hit is not None and hit[0] is state and (
-        hit[1] is not None or not need_tape
-    ):
-        return hit[1], hit[2]
-    if link.bandwidth_gbps == REFERENCE_LINK_GBPS:
-        ref_config = config
-    else:
-        ref_config = replace(
-            config, link=replace(link, bandwidth_gbps=REFERENCE_LINK_GBPS)
-        )
-    tape = _Tape() if need_tape else None
-    if need_tape:
-        global _TAPE_RECORDINGS
-        _TAPE_RECORDINGS += 1
-    reference = VectorizedSimulator(ref_config).run(trace, state, _tape=tape)
-    per_trace[key] = (state, tape, reference)
-    return tape, reference
-
-
-def _replay_tape(tape: _Tape, config) -> float:
-    """Recompute end-to-end cycles along a frozen event tape.
-
-    Every traffic outcome (hits, fills, row-buffer state, victim
-    choices) is baked into the tape; only the timing recurrences — SM
-    issue slots, DRAM channel queues, the two link directions and each
-    warp's memory-level-parallelism window — are recomputed with the
-    requested interconnect.  At the recording interconnect this
-    reproduces the exact engine's cycle count bit for bit (the replay
-    uses the same float operations in the same order).
-    """
-    return _event_core.replay_tape(
-        tape.cols,
-        tape.warp_mlp,
-        (tape.warp_count, tape.sm_count, tape.channels),
-        (
-            config.issue_interval,
-            float(config.dram_latency),
-            float(config.l2_latency),
-            config.link.bytes_per_cycle(config.clock_hz),
-            float(config.link.latency_cycles),
-            tape.fill_tail,
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tape persistence: a stable serialized form plus the ``sim.tape``
-# cache namespace, so warm runs and fresh worker processes load tapes
-# instead of re-recording them.
-# ---------------------------------------------------------------------------
-
-#: Bump when the serialized tape layout changes; stale entries are
-#: re-recorded (the format version is part of both the envelope and
-#: the cache key, so old blobs are simply never addressed again).
-TAPE_FORMAT_VERSION = 1
-
-_TAPE_MAGIC = b"RTAP"
-#: Header: magic, format version, then event count / warp count /
-#: SM count / DRAM channel count as int64 and fill_tail as float64.
-_TAPE_HEADER = struct.Struct("<4sBxxxqqqqd")
-#: Column dtypes of the 12-column struct-of-arrays pack, in tape
-#: order (kind, warp, SM, three float payloads, six int payloads).
-_TAPE_COL_DTYPES = (
-    "int8", "int32", "int32",
-    "float64", "float64", "float64",
-    "int32", "int32", "int32", "int32", "int32", "int32",
-)
-
-#: Modules whose source feeds the tape cache salt: everything that
-#: determines tape *content* — trace synthesis, compression state
-#: derivation, and the recording engine itself.  Link bandwidth and
-#: ``verify=`` sampling are deliberately absent from the key: one
-#: tape serves the whole link sweep at any verify rate.
-_TAPE_SALT_MODULES = (
-    "repro.compression.base",
-    "repro.compression.bpc",
-    "repro.core.controller",
-    "repro.core.profiler",
-    "repro.core.targets",
-    "repro.gpusim._event_core",
-    "repro.gpusim.vector_sim",
-    "repro.workloads.traces",
-)
-
-#: Process-global tape cache (a :class:`repro.engine.cache.ResultCache`)
-#: installed by the engine runner; ``None`` = in-memory memo only.
-_TAPE_CACHE = None
-
-#: Recently ensured tape envelopes by digest — the transport for
-#: planner-prebuilt tapes into worker processes, and an in-process
-#: dedupe across `_TAPE_MEMO` misses (the memo is id(state)-keyed, so
-#: an equal-but-distinct state object cannot find it there).
-_TAPE_BLOBS: OrderedDict[str, dict] = OrderedDict()
-_TAPE_BLOBS_MAX = 8
-
-_TAPE_RECORDINGS = 0
-
-
-def serialize_tape(tape: _Tape) -> bytes:
-    """Serialize a recorded tape to its stable byte form.
-
-    Layout: the :data:`_TAPE_HEADER` (magic ``RTAP``, format version,
-    counts, ``fill_tail``), the ``warp_mlp`` int64 column, then the 12
-    event columns in pack order at their :data:`_TAPE_COL_DTYPES`.
-    Everything is little-endian and C-contiguous, so equal tapes have
-    equal bytes regardless of which core recorded them.
-    """
-    if tape.cols is None:
-        raise ValueError("cannot serialize an unrecorded tape")
-    header = _TAPE_HEADER.pack(
-        _TAPE_MAGIC,
-        TAPE_FORMAT_VERSION,
-        tape.event_count,
-        tape.warp_count,
-        tape.sm_count,
-        tape.channels,
-        float(tape.fill_tail),
-    )
-    parts = [
-        header,
-        np.ascontiguousarray(tape.warp_mlp, dtype=np.int64).tobytes(),
-    ]
-    for column, dtype in zip(tape.cols, _TAPE_COL_DTYPES):
-        parts.append(np.ascontiguousarray(column, dtype=dtype).tobytes())
-    return b"".join(parts)
-
-
-def deserialize_tape(blob: bytes) -> _Tape:
-    """Rebuild a :class:`_Tape` from :func:`serialize_tape` bytes.
-
-    Raises ``ValueError`` on a wrong magic, an unknown format version,
-    or a byte count that disagrees with the header — a torn or foreign
-    blob must never replay as a plausible-looking tape.
-    """
-    if len(blob) < _TAPE_HEADER.size:
-        raise ValueError("tape blob shorter than its header")
-    magic, version, n_events, warp_count, sm_count, channels, fill_tail = (
-        _TAPE_HEADER.unpack_from(blob)
-    )
-    if magic != _TAPE_MAGIC:
-        raise ValueError(f"not a serialized tape (magic {magic!r})")
-    if version != TAPE_FORMAT_VERSION:
-        raise ValueError(
-            f"serialized tape format {version} != {TAPE_FORMAT_VERSION}"
-        )
-    if n_events < 0 or warp_count < 0:
-        raise ValueError("serialized tape header has negative counts")
-    row_bytes = sum(np.dtype(d).itemsize for d in _TAPE_COL_DTYPES)
-    expected = _TAPE_HEADER.size + 8 * warp_count + n_events * row_bytes
-    if len(blob) != expected:
-        raise ValueError(
-            f"serialized tape is {len(blob)} bytes, header implies "
-            f"{expected}"
-        )
-    offset = _TAPE_HEADER.size
-    warp_mlp = np.frombuffer(
-        blob, dtype=np.int64, count=warp_count, offset=offset
-    ).copy()
-    offset += 8 * warp_count
-    cols = []
-    for dtype in _TAPE_COL_DTYPES:
-        spec = np.dtype(dtype)
-        cols.append(
-            np.frombuffer(
-                blob, dtype=spec, count=n_events, offset=offset
-            ).copy()
-        )
-        offset += n_events * spec.itemsize
-    tape = _Tape()
-    tape.cols = tuple(cols)
-    tape.warp_mlp = warp_mlp
-    tape.warp_count = int(warp_count)
-    tape.sm_count = int(sm_count)
-    tape.channels = int(channels)
-    tape.fill_tail = float(fill_tail)
-    return tape
-
-
-def tape_cache_key(benchmark, trace_config, profile_config, config):
-    """The ``sim.tape`` cache address of one recorded tape.
-
-    Keyed by everything that determines tape content — the benchmark,
-    the trace/profile configuration that synthesises its accesses and
-    compression state, the machine geometry (:func:`_machine_key`) and
-    the link *latency/derate* — salted with the source of
-    :data:`_TAPE_SALT_MODULES`.  Link **bandwidth** and ``verify=``
-    sampling are excluded: the whole Fig. 11 sweep, at any verify
-    rate, shares one tape.
-    """
-    from repro.engine.cache import CacheKey, code_salt, param_digest
-
-    digest = param_digest(
-        "sim.tape",
-        {
-            "format": TAPE_FORMAT_VERSION,
-            "benchmark": benchmark,
-            "trace_config": trace_config,
-            "profile_config": profile_config,
-            "machine": _machine_key(config),
-            "link_latency": config.link.latency_cycles,
-            "link_derate": config.link.derate,
-        },
-        code_salt(_TAPE_SALT_MODULES),
-    )
-    return CacheKey("sim.tape", digest)
-
-
-def set_tape_cache(cache):
-    """Install the persistent tape cache; returns the previous one."""
-    global _TAPE_CACHE
-    previous = _TAPE_CACHE
-    _TAPE_CACHE = cache
-    return previous
-
-
-def tape_recording_count() -> int:
-    """Process-lifetime count of exact-order tape recordings."""
-    return _TAPE_RECORDINGS
-
-
-def seed_tape_preload(entries) -> None:
-    """Seed the in-process envelope store (digest -> envelope).
-
-    The runner calls this in worker processes with the envelopes the
-    planner prebuilt in stage 0, so cacheless pools replay instead of
-    re-recording.
-    """
-    for digest, envelope in (entries or {}).items():
-        _remember_envelope(digest, envelope)
-
-
-def _remember_envelope(digest: str, envelope: dict) -> None:
-    _TAPE_BLOBS[digest] = envelope
-    _TAPE_BLOBS.move_to_end(digest)
-    while len(_TAPE_BLOBS) > _TAPE_BLOBS_MAX:
-        _TAPE_BLOBS.popitem(last=False)
-
-
-def _tape_envelope(tape: _Tape, reference) -> dict:
-    return {
-        "format": TAPE_FORMAT_VERSION,
-        "tape": serialize_tape(tape),
-        "reference": reference,
-    }
-
-
-def ensure_tape(key, trace, state, config) -> dict:
-    """Get-or-record the tape envelope for one design point.
-
-    Resolution order: the live ``_TAPE_MEMO`` (write-through to the
-    persistent cache if it holds a tape the cache lacks), the
-    preloaded envelope store, the persistent ``sim.tape`` cache
-    (deserializing also seeds the memo, so the subsequent replays run
-    off the in-memory tape), and finally an exact-order recording.
-    Returns the ``{"format", "tape", "reference"}`` envelope.
-    """
-    link = config.link
-    memo_key = (
-        id(state), _machine_key(config), link.latency_cycles, link.derate
-    )
-    per_trace = _TAPE_MEMO.get(trace)
-    hit = per_trace.get(memo_key) if per_trace is not None else None
-    if hit is not None and hit[0] is state and hit[1] is not None:
-        envelope = _tape_envelope(hit[1], hit[2])
-        _remember_envelope(key.digest, envelope)
-        if _TAPE_CACHE is not None and not _TAPE_CACHE.contains(key):
-            _TAPE_CACHE.put(key, envelope)
-        return envelope
-
-    envelope = _TAPE_BLOBS.get(key.digest)
-    if envelope is None and _TAPE_CACHE is not None:
-        from repro.engine.cache import CacheMiss
-
-        try:
-            envelope = _TAPE_CACHE.get(key)
-        except CacheMiss:
-            envelope = None
-    if envelope is not None and envelope.get("format") != TAPE_FORMAT_VERSION:
-        envelope = None  # format drift: re-record
-
-    if envelope is not None:
-        tape = deserialize_tape(envelope["tape"])
-        reference = envelope["reference"]
-        if per_trace is None:
-            per_trace = {}
-            _TAPE_MEMO[trace] = per_trace
-        per_trace[memo_key] = (state, tape, reference)
-        _remember_envelope(key.digest, envelope)
-        return envelope
-
-    tape, reference = _resolve_tape(trace, state, config, need_tape=True)
-    envelope = _tape_envelope(tape, reference)
-    _remember_envelope(key.digest, envelope)
-    if _TAPE_CACHE is not None:
-        _TAPE_CACHE.put(key, envelope)
-    return envelope
-
-
-def replay_links(
-    trace,
-    state,
-    config,
-    links,
-    verify: float = 0.0,
-    tolerance: float | None = None,
-    cache_key=None,
-):
-    """Run the relaxed engine at several link bandwidths in one pass.
-
-    The batched twin of looping :class:`RelaxedSimulator` over
-    ``config.with_link(link)`` — bit-identical to that loop, because
-    every non-reference link replays the same frozen tape through
-    :func:`repro.gpusim._event_core.replay_tape_many` (itself
-    bit-identical per link to serial ``replay_tape``).  ``cache_key``
-    (from :func:`tape_cache_key`) routes the tape through
-    :func:`ensure_tape` first, so persistent-cache hits and planner
-    preloads skip the recording.  ``verify`` keeps its per-point
-    deterministic sampling: each link decides independently, exactly
-    as the serial loop did.  Returns one ``SimResult`` per requested
-    link, in order.
-    """
-    links = [float(link) for link in links]
-    need_tape = any(link != REFERENCE_LINK_GBPS for link in links)
-    if need_tape and cache_key is not None:
-        ensure_tape(cache_key, trace, state, config)
-    tape, reference = _resolve_tape(trace, state, config, need_tape=need_tape)
-
-    off_reference = [
-        link for link in links if link != REFERENCE_LINK_GBPS
-    ]
-    cycles_by_link = {}
-    if off_reference:
-        packs = []
-        for link in off_reference:
-            link_config = config.with_link(link)
-            packs.append(
-                (
-                    link_config.issue_interval,
-                    float(link_config.dram_latency),
-                    float(link_config.l2_latency),
-                    link_config.link.bytes_per_cycle(link_config.clock_hz),
-                    float(link_config.link.latency_cycles),
-                    tape.fill_tail,
-                )
-            )
-        replayed = _event_core.replay_tape_many(
-            tape.cols,
-            tape.warp_mlp,
-            (tape.warp_count, tape.sm_count, tape.channels),
-            packs,
-        )
-        cycles_by_link = dict(zip(off_reference, replayed))
-
-    results = []
-    for link in links:
-        at_reference = link == REFERENCE_LINK_GBPS
-        if at_reference:
-            result = reference
-        else:
-            result = replace(reference, cycles=cycles_by_link[link])
-        link_config = config.with_link(link)
-        if verify and _verify_selected(trace, state, link_config, verify):
-            from repro.gpusim.simulator import DependencyDrivenSimulator
-
-            oracle = DependencyDrivenSimulator(link_config, "legacy").run(
-                trace, state
-            )
-            check_relaxed_contract(
-                result, oracle, exact=at_reference, tolerance=tolerance
-            )
-        results.append(result)
-    return results
-
-
-#: Counters the relaxed contract compares against the oracle, with
-#: the byte quantum of one event (a whole-entry transfer plus link
-#: overhead for the byte counters; a single event for the fills).
-_CONTRACT_COUNTERS = (
-    ("dram_bytes", MEMORY_ENTRY_BYTES + TRANSACTION_OVERHEAD_BYTES),
-    ("link_bytes", MEMORY_ENTRY_BYTES + TRANSACTION_OVERHEAD_BYTES),
-    ("buddy_fills", 1),
-    ("demand_fills", 1),
-)
-_CONTRACT_RATES = ("l1_hit_rate", "l2_hit_rate", "metadata_hit_rate")
-
-
-def check_relaxed_contract(
-    relaxed, oracle, exact: bool, tolerance: float | None = None
-) -> None:
-    """Assert a relaxed result against the legacy oracle's.
-
-    ``exact`` (reference interconnect, single-warp traces, provably
-    non-contending traces) demands bit-identical results; otherwise
-    counters must sit within :data:`RELAXED_COUNTER_TOLERANCE`
-    relative — with an absolute floor of
-    :data:`RELAXED_COUNTER_FLOOR_EVENTS` transfer events, the scale
-    of the oracle's own link-to-link ordering noise — and cycles
-    within :data:`RELAXED_CYCLE_TOLERANCE`.  A non-``None``
-    ``tolerance`` (from :class:`repro.gpusim.engine_spec.EngineSpec`)
-    replaces the pinned pair at its pinned ratio: cycles within
-    ``tolerance``, counters within ``2 * tolerance``.  Raises
-    :class:`RelaxedVerificationError` on the first violation.
-    """
-    cycle_tolerance = (
-        RELAXED_CYCLE_TOLERANCE if tolerance is None else tolerance
-    )
-    counter_tolerance = (
-        RELAXED_COUNTER_TOLERANCE if tolerance is None else 2.0 * tolerance
-    )
-    if exact:
-        for field in (
-            ("benchmark", "mode", "cycles", "instructions")
-            + tuple(name for name, _ in _CONTRACT_COUNTERS)
-            + _CONTRACT_RATES
-        ):
-            got = getattr(relaxed, field)
-            want = getattr(oracle, field)
-            if got != want:
-                raise RelaxedVerificationError(
-                    f"relaxed engine diverged from the oracle on "
-                    f"{field}: {got!r} != {want!r} (exact point)"
-                )
-        return
-    if (relaxed.benchmark, relaxed.mode, relaxed.instructions) != (
-        oracle.benchmark, oracle.mode, oracle.instructions
-    ):
-        raise RelaxedVerificationError(
-            "relaxed engine simulated a different design point than "
-            f"the oracle: {relaxed!r} vs {oracle!r}"
-        )
-    deviation = abs(relaxed.cycles - oracle.cycles) / oracle.cycles
-    if deviation > cycle_tolerance:
-        raise RelaxedVerificationError(
-            f"relaxed cycles {relaxed.cycles} deviate from oracle "
-            f"{oracle.cycles} by {deviation:.2%} "
-            f"(> {cycle_tolerance:.2%})"
-        )
-    for field, quantum in _CONTRACT_COUNTERS:
-        got = getattr(relaxed, field)
-        want = getattr(oracle, field)
-        slack = max(
-            RELAXED_COUNTER_FLOOR_EVENTS * quantum,
-            counter_tolerance * want,
-        )
-        if abs(got - want) > slack:
-            raise RelaxedVerificationError(
-                f"relaxed {field} {got} deviates from oracle {want} "
-                f"by more than {counter_tolerance:.2%} "
-                f"(+{RELAXED_COUNTER_FLOOR_EVENTS}-event floor)"
-            )
-    for field in _CONTRACT_RATES:
-        got = getattr(relaxed, field)
-        want = getattr(oracle, field)
-        if abs(got - want) > counter_tolerance:
-            raise RelaxedVerificationError(
-                f"relaxed {field} {got:.4f} deviates from oracle "
-                f"{want:.4f} by more than "
-                f"{counter_tolerance:.2%} absolute"
-            )
-
-
-def _verify_selected(trace, state, config, fraction: float) -> bool:
-    """Deterministic sampling for the ``verify=`` escape hatch.
-
-    The decision hashes the design point's stable identity (not object
-    ids), so a given point is either always or never cross-checked for
-    a given fraction — reruns and parallel workers agree.
-    """
-    if fraction >= 1.0:
-        return True
-    key = (
-        trace.benchmark,
-        trace.instruction_count,
-        state.mode.value,
-        int(state.entries),
-        config.link.bandwidth_gbps,
-        config.sm_count,
-        config.warps_per_sm,
-    )
-    digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0**64 < fraction
-
-
-class RelaxedSimulator:
-    """The relaxed-order engine behind ``engine="relaxed"``.
-
-    One exact-order recording at :data:`REFERENCE_LINK_GBPS` per
-    ``(trace, state, machine geometry)``; every other interconnect
-    bandwidth replays the frozen tape.  ``verify`` is the sampled
-    escape hatch: the fraction of runs (deterministically chosen per
-    design point) that are cross-checked against the legacy oracle at
-    full fidelity via :func:`check_relaxed_contract`; ``tolerance``
-    optionally overrides that contract's pinned tolerances.
-    """
-
-    def __init__(
-        self,
-        config: GPUConfig,
-        verify: float = 0.0,
-        tolerance: float | None = None,
-    ) -> None:
-        self.config = config
-        self.verify = verify
-        self.tolerance = tolerance
-
-    def run(self, trace: KernelTrace, state: CompressionState):
-        config = self.config
-        at_reference = (
-            config.link.bandwidth_gbps == REFERENCE_LINK_GBPS
-        )
-        tape, reference = _resolve_tape(
-            trace, state, config, need_tape=not at_reference
-        )
-        if at_reference:
-            result = reference
-        else:
-            result = replace(
-                reference, cycles=_replay_tape(tape, config)
-            )
-        if self.verify and _verify_selected(
-            trace, state, config, self.verify
-        ):
-            from repro.gpusim.simulator import DependencyDrivenSimulator
-
-            oracle = DependencyDrivenSimulator(config, "legacy").run(
-                trace, state
-            )
-            check_relaxed_contract(
-                result, oracle, exact=at_reference, tolerance=self.tolerance
-            )
-        return result

@@ -13,23 +13,11 @@ pass fails CI before any simulation runs by cross-checking, statically:
     side.)
 ``ctwin-layout``
     The ``ARRAYS`` / ``ISCALARS`` / ``FSCALARS`` packing tuples (the
-    ``A_*`` / ``I_*`` / ``F_*`` index constants) plus the replay
-    scalar packs (``RI_*`` / ``RF_*``): names, order and count must
-    match the C ``enum`` blocks exactly (the C sentinel ``*_COUNT``
-    tail must equal the Python tuple length).
-``ctwin-kinds``
-    The tape event-kind codes: the ``_T_*`` constants declared in
-    ``vector_sim.py``, the kinds the Python core records
-    (``rec(tcols, K, ...)``) and replays (``kind == K``), and the
-    kinds the C core writes (``tk[...] = K``) and dispatches
-    (``kind == K``) must all agree.  Additionally, each replay entry
-    point (serial ``replay`` / ``_replay_py`` and batched
-    ``replay_many`` / ``_replay_many_py``) must exist in both twins
-    and individually dispatch every declared kind — at most one kind
-    may ride an entry point's final ``else`` branch, so a dropped
-    dispatch arm in one twin's copy cannot hide behind the other's.
+    ``A_*`` / ``I_*`` / ``F_*`` index constants): names, order and
+    count must match the C ``enum`` blocks exactly (the C sentinel
+    ``*_COUNT`` tail must equal the Python tuple length).
 ``ctwin-missing``
-    One of the three source files is absent.
+    One of the two source files is absent.
 
 The Python side is parsed with ``ast``; the C side with targeted
 regexes over the comment-stripped text (the file is hand-written to a
@@ -45,13 +33,12 @@ from pathlib import Path
 
 from repro.statics.framework import Context, Finding, Pass, Severity
 
-#: The three twin-contract source files, package-relative.
+#: The two twin-contract source files, package-relative.
 PY_CORE = "gpusim/_event_core.py"
 C_CORE = "gpusim/_event_core_ext.c"
-VECTOR_SIM = "gpusim/vector_sim.py"
 
 #: Packing groups by constant-name prefix (underscore-terminated).
-GROUP_PREFIXES = ("A", "I", "F", "RI", "RF")
+GROUP_PREFIXES = ("A", "I", "F")
 
 
 @dataclass
@@ -62,11 +49,6 @@ class PySide:
     abi_line: int = 0
     groups: dict[str, list[str]] = field(default_factory=dict)
     group_lines: dict[str, int] = field(default_factory=dict)
-    recorded_kinds: set[int] = field(default_factory=set)
-    replayed_kinds: set[int] = field(default_factory=set)
-    #: Per replay entry point (normalized name, e.g. ``replay_many``):
-    #: the kinds that function's dispatch chain tests explicitly.
-    replay_fns: dict[str, set[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -75,10 +57,6 @@ class CSide:
 
     abi: int | None = None
     enums: dict[str, list[str]] = field(default_factory=dict)
-    written_kinds: set[int] = field(default_factory=set)
-    dispatched_kinds: set[int] = field(default_factory=set)
-    #: Per replay entry point: kinds its dispatch chain tests explicitly.
-    replay_fns: dict[str, set[int]] = field(default_factory=dict)
 
 
 def _prefix_of(name: str) -> str | None:
@@ -86,34 +64,8 @@ def _prefix_of(name: str) -> str | None:
     return head if head in GROUP_PREFIXES else None
 
 
-#: Python replay entry points: ``_replay_py``, ``_replay_many_py``, ...
-_PY_REPLAY_FN = re.compile(r"^_replay\w*_py$")
-
-
-def _normalize_replay_name(name: str) -> str:
-    """``_replay_many_py`` (Python) and ``replay_many`` (C) → one key."""
-    name = name.lstrip("_")
-    return name[: -len("_py")] if name.endswith("_py") else name
-
-
-def _dispatched_kinds(tree: ast.AST) -> set[int]:
-    kinds: set[int] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Compare)
-            and isinstance(node.left, ast.Name)
-            and node.left.id == "kind"
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.Eq)
-            and isinstance(node.comparators[0], ast.Constant)
-            and isinstance(node.comparators[0].value, int)
-        ):
-            kinds.add(node.comparators[0].value)
-    return kinds
-
-
 def parse_py_core(source: str) -> PySide:
-    """Extract ABI, packing tuples and kind usage from the Python core."""
+    """Extract ABI and packing tuples from the Python core."""
     side = PySide()
     tree = ast.parse(source)
     for node in ast.walk(tree):
@@ -134,80 +86,16 @@ def parse_py_core(source: str) -> PySide:
                 if prefix and all(_prefix_of(n) == prefix for n in names):
                     side.groups[prefix] = names
                     side.group_lines[prefix] = node.lineno
-        elif isinstance(node, ast.Call):
-            # rec(tcols, K, ...) — the Python core's tape writes.
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "rec"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, int)
-            ):
-                side.recorded_kinds.add(node.args[1].value)
-        elif isinstance(node, ast.Compare):
-            # kind == K — the replay dispatch.
-            if (
-                isinstance(node.left, ast.Name)
-                and node.left.id == "kind"
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], ast.Eq)
-                and isinstance(node.comparators[0], ast.Constant)
-                and isinstance(node.comparators[0].value, int)
-            ):
-                side.replayed_kinds.add(node.comparators[0].value)
-        elif isinstance(node, ast.FunctionDef) and _PY_REPLAY_FN.match(
-            node.name
-        ):
-            # Per entry point: the serial and batched replay cores must
-            # each dispatch the full kind set on their own.
-            side.replay_fns[_normalize_replay_name(node.name)] = (
-                _dispatched_kinds(node)
-            )
     return side
-
-
-def parse_t_constants(vector_sim_source: str) -> dict[str, int]:
-    """``_T_*`` event-kind constants declared in ``vector_sim.py``."""
-    kinds: dict[str, int] = {}
-    for node in ast.parse(vector_sim_source).body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id.startswith("_T_")
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, int)
-        ):
-            kinds[node.targets[0].id] = node.value.value
-    return kinds
 
 
 _C_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
 _C_ABI = re.compile(r"#define\s+EXT_ABI\s+(\d+)")
 _C_ENUM = re.compile(r"enum\s*\{([^}]*)\}")
-_C_KIND_WRITE = re.compile(r"\btk\[\w+\]\s*=\s*(\d+)")
-_C_KIND_DISPATCH = re.compile(r"\bkind\s*==\s*(\d+)")
-#: C replay entry points: ``replay`` and ``replay_many`` definitions.
-_C_REPLAY_FN = re.compile(r"static\s+PyObject\s*\*\s*(replay\w*)\s*\(")
-
-
-def _c_replay_bodies(stripped: str) -> dict[str, str]:
-    """Slice each ``replay*`` function body out of the stripped source.
-
-    A body runs from its definition to the next ``static`` at the top
-    level (the file's fixed idiom: no nested ``static``), or EOF.
-    """
-    matches = list(_C_REPLAY_FN.finditer(stripped))
-    bodies: dict[str, str] = {}
-    for match in matches:
-        end = stripped.find("\nstatic ", match.end())
-        body = stripped[match.end() : end if end >= 0 else len(stripped)]
-        bodies[match.group(1)] = body
-    return bodies
 
 
 def parse_c_core(source: str) -> CSide:
-    """Extract ABI, enum blocks and kind usage from the C twin."""
+    """Extract ABI and enum blocks from the C twin."""
     side = CSide()
     stripped = _C_COMMENT.sub(" ", source)
     abi = _C_ABI.search(stripped)
@@ -226,28 +114,18 @@ def parse_c_core(source: str) -> CSide:
         if names[-1] == f"{prefix}_COUNT":
             names = names[:-1]
         side.enums[prefix] = names
-    side.written_kinds = {int(k) for k in _C_KIND_WRITE.findall(stripped)}
-    side.dispatched_kinds = {
-        int(k) for k in _C_KIND_DISPATCH.findall(stripped)
-    }
-    for name, body in _c_replay_bodies(stripped).items():
-        side.replay_fns[_normalize_replay_name(name)] = {
-            int(k) for k in _C_KIND_DISPATCH.findall(body)
-        }
     return side
 
 
 def compare_twins(
     py_source: str,
     c_source: str,
-    vector_sim_source: str,
     py_path: str = PY_CORE,
     c_path: str = C_CORE,
 ) -> list[Finding]:
     """All drift findings between the two event-core twins."""
     py = parse_py_core(py_source)
     c = parse_c_core(c_source)
-    t_constants = parse_t_constants(vector_sim_source)
     findings: list[Finding] = []
 
     def error(rule: str, path: str, line: int, message: str) -> None:
@@ -311,104 +189,22 @@ def compare_twins(
                 "_event_core_ext.c together and bump EXT_ABI",
             )
 
-    # -- event kinds -----------------------------------------------------
-    declared = set(t_constants.values())
-    if not declared:
-        error(
-            "ctwin-kinds",
-            VECTOR_SIM,
-            0,
-            "no _T_* event-kind constants found in vector_sim.py",
-        )
-    checks = (
-        ("Python core records", py.recorded_kinds, py_path),
-        ("Python replay dispatches", py.replayed_kinds, py_path),
-        ("C core writes", c.written_kinds, c_path),
-        ("C replay dispatches", c.dispatched_kinds, c_path),
-    )
-    for what, kinds, path in checks:
-        unknown = kinds - declared
-        if unknown:
-            error(
-                "ctwin-kinds",
-                path,
-                0,
-                f"{what} kind(s) {sorted(unknown)} not declared by the "
-                f"_T_* constants ({sorted(declared)})",
-            )
-    if declared and c.written_kinds and declared != c.written_kinds:
-        missing = sorted(declared - c.written_kinds)
-        if missing:
-            error(
-                "ctwin-kinds",
-                c_path,
-                0,
-                f"C core never writes kind(s) {missing} that the "
-                "Python core declares — the twins' tapes would diverge",
-            )
-    if (
-        py.recorded_kinds
-        and c.written_kinds
-        and py.recorded_kinds != c.written_kinds
-    ):
-        error(
-            "ctwin-kinds",
-            c_path,
-            0,
-            f"recorded kinds differ: Python writes "
-            f"{sorted(py.recorded_kinds)}, C writes "
-            f"{sorted(c.written_kinds)}",
-        )
-
-    # -- per-entry-point replay dispatch -------------------------------
-    # Serial replay and batched replay_many are independent copies of
-    # the same dispatch chain, in both twins.  Each must cover every
-    # declared kind on its own; exactly one kind per entry point may
-    # ride the final `else` branch without an explicit test.
-    if set(py.replay_fns) != set(c.replay_fns):
-        only_py = sorted(set(py.replay_fns) - set(c.replay_fns))
-        only_c = sorted(set(c.replay_fns) - set(py.replay_fns))
-        error(
-            "ctwin-kinds",
-            c_path,
-            0,
-            f"replay entry points differ between the twins "
-            f"(Python-only: {only_py}, C-only: {only_c})",
-        )
-    if declared:
-        sides = (
-            ("Python", py.replay_fns, py_path),
-            ("C", c.replay_fns, c_path),
-        )
-        for twin, fns, path in sides:
-            for name in sorted(fns):
-                undispatched = sorted(declared - fns[name])
-                if len(undispatched) > 1:
-                    error(
-                        "ctwin-kinds",
-                        path,
-                        0,
-                        f"{twin} replay entry point {name!r} never "
-                        f"dispatches kind(s) {undispatched}; at most "
-                        "one kind may be handled by the final else "
-                        "branch",
-                    )
     return findings
 
 
 class CTwinDriftPass(Pass):
     name = "c-twin-drift"
     description = (
-        "_event_core_ext.c agrees with _event_core.py on EXT_ABI, the "
-        "event-kind codes and the array-pack layout"
+        "_event_core_ext.c agrees with _event_core.py on EXT_ABI and "
+        "the array-pack layout"
     )
-    rules = ("ctwin-abi", "ctwin-layout", "ctwin-kinds", "ctwin-missing")
+    rules = ("ctwin-abi", "ctwin-layout", "ctwin-missing")
 
     def run(self, ctx: Context) -> list[Finding]:
         package_root = ctx.src_root / ctx.package
         paths = {
             name: package_root / name
-            for name in (PY_CORE, C_CORE, VECTOR_SIM)
+            for name in (PY_CORE, C_CORE)
         }
         missing = [
             ctx.rel(path) for path in paths.values() if not path.is_file()
@@ -427,7 +223,6 @@ class CTwinDriftPass(Pass):
         return compare_twins(
             ctx.source(paths[PY_CORE]),
             Path(paths[C_CORE]).read_text(),
-            ctx.source(paths[VECTOR_SIM]),
             py_path=ctx.rel(paths[PY_CORE]),
             c_path=ctx.rel(paths[C_CORE]),
         )

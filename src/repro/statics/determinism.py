@@ -1,9 +1,9 @@
 """The ``determinism-lint`` pass.
 
 Every salted module feeds digest-pinned results: the golden Fig. 7/9
-/11 digests, the canonical sweep digest and the relaxed-engine pins
-all assume a design point's bytes depend only on its parameters.
-This pass flags the constructs that historically break that promise:
+/11 digests and the canonical sweep digest all assume a design
+point's bytes depend only on its parameters.  This pass flags the
+constructs that historically break that promise:
 
 ``det-set-iter``
     Iterating (or materialising) a ``set``/``frozenset`` — element

@@ -1,9 +1,8 @@
 """The ``docs-sync`` pass.
 
-The documentation checker that used to live wholly in
-``scripts/check_docs.py``, folded into the pass framework (the script
-remains as a thin shim for direct invocation and the CI ``docs`` job).
-Docs rot in four ways this catches mechanically:
+The documentation checker, run by ``repro check`` (the CI ``statics``
+job) and by ``tests/test_docs.py``.  Docs rot in four ways this
+catches mechanically:
 
 ``docs-link``
     A relative markdown link in a tracked doc stops resolving (file
@@ -50,7 +49,7 @@ REQUIRED_README_LINKS = (
 )
 
 #: Test files whose digest literals are the source of truth.
-DIGEST_TEST_FILES = ("tests/test_vector_sim.py", "tests/test_relaxed_sim.py")
+DIGEST_TEST_FILES = ("tests/test_vector_sim.py",)
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 _RUN_NAME = re.compile(r"repro run ([a-z_]+\.[a-z0-9_]+)")

@@ -144,6 +144,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize(
+        "alias",
+        ["fig3", "fig7", "fig8", "fig9", "fig5b", "fig10", "fig11",
+         "fig12", "fig13"],
+    )
+    def test_retired_figure_aliases_point_at_repro_run(self, alias, capsys):
+        """The old ``repro figN`` shortcuts are gone; the error lists
+        the subcommands, ``run`` among them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([alias])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{alias}'" in err
+        assert "'run'" in err
+
     def test_fig6_runs(self, capsys):
         assert main(["fig6", "354.cg"]) == 0
         out = capsys.readouterr().out

@@ -80,7 +80,6 @@ class TestDoctorJson:
             "numpy",
             "platform",
             "python",
-            "tape",
         ]
         assert sorted(report["event_core"]) == [
             "detail",
@@ -91,7 +90,6 @@ class TestDoctorJson:
             "forced_python",
         ]
         assert sorted(report["cache"]) == ["bytes", "entries", "root"]
-        assert sorted(report["tape"]) == ["bytes", "entries", "format_version"]
         assert sorted(report["check"]) == [
             "errors",
             "ok",
@@ -118,7 +116,6 @@ class TestCacheJson:
             "evictions",
             "per_experiment",
             "root",
-            "tape_format_version",
         ]
         assert report["entries"] == 0
         assert report["per_experiment"] == {}

@@ -1,35 +1,23 @@
-"""The docs cannot rot silently: tier-1 wrapper over the CI checker.
+"""The docs cannot rot silently: tier-1 run of the docs-sync pass.
 
-`scripts/check_docs.py` verifies that every relative link in README
-and docs/ resolves, that documented `repro run` experiment names are
-registered, and that digests quoted in the docs match the values the
-golden tests pin.  Running it here means a doc-breaking rename fails
-`pytest -x -q` locally, not just the CI docs job.
+:func:`repro.statics.docs_sync.check_docs` verifies that every
+relative link in README and docs/ resolves, that documented
+`repro run` experiment names are registered, and that digests quoted
+in the docs match the values the golden tests pin.  Running it here
+means a doc-breaking rename fails `pytest -x -q` locally, not just the
+CI `statics` job.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
-CHECKER = (
-    Path(__file__).resolve().parent.parent / "scripts" / "check_docs.py"
-)
-
-
-def load_checker():
-    spec = importlib.util.spec_from_file_location("check_docs", CHECKER)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["check_docs"] = module
-    spec.loader.exec_module(module)
-    return module
+from repro.statics.docs_sync import check_docs
+from repro.statics.framework import Context
 
 
 def test_docs_are_consistent():
-    checker = load_checker()
-    assert checker.run_all_checks() == []
+    findings = check_docs(Context.for_repo())
+    assert [f"{f.path}:{f.line}: {f.message}" for f in findings] == []
 
 
 def test_required_docs_exist():
-    root = CHECKER.parent.parent
+    root = Context.for_repo().repo_root
     assert (root / "docs" / "architecture.md").is_file()
     assert (root / "docs" / "engines.md").is_file()

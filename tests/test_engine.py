@@ -15,7 +15,7 @@ from repro.engine import (
     register,
     result_digest,
 )
-from repro.engine.cache import CacheKey, canonical
+from repro.engine.cache import CacheKey, CacheStats, canonical
 from repro.workloads.snapshots import SnapshotConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
@@ -177,6 +177,33 @@ class TestResultCache:
         assert parse_size("2GiB") == 2 * 1024**3
         with pytest.raises(ValueError):
             parse_size("banana")
+
+
+class TestPerNamespaceStats:
+    def test_get_put_bump_the_namespace_row(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = CacheKey("profile.entries", "d" * 32)
+        with pytest.raises(CacheMiss):
+            cache.get(key)
+        assert cache.stats.per_namespace["profile.entries"] == [0, 1, 0]
+        cache.put(key, {"payload": 1})
+        assert cache.stats.per_namespace["profile.entries"] == [0, 1, 1]
+        assert cache.get(key) == {"payload": 1}
+        assert cache.stats.per_namespace["profile.entries"] == [1, 1, 1]
+
+    def test_merge_adds_namespace_rows(self):
+        a = CacheStats(per_namespace={"profile.entries": [1, 2, 3]})
+        b = CacheStats(
+            per_namespace={
+                "profile.entries": [4, 0, 1],
+                "profile.tensor": [1, 0, 0],
+            }
+        )
+        a.merge(b)
+        assert a.per_namespace == {
+            "profile.entries": [5, 2, 4],
+            "profile.tensor": [1, 0, 0],
+        }
 
 
 class TestRunner:

@@ -1,188 +1,91 @@
-"""EngineSpec: the unified engine-selection surface.
+"""Engine selection: one plain name from ``ENGINES``, validated once.
 
-Pins the API-redesign contract: one place parses and validates engine
-name / verify / tolerance, the legacy ``engine=``/``verify=`` keyword
-pair still works (with a :class:`DeprecationWarning` naming the
-replacement), and a custom tolerance threads through to the relaxed
-engine's verification contract without ever becoming a cache axis.
+Pins the selection contract: the two engines are ``vectorized`` (the
+default) and ``legacy`` (the oracle); :func:`check_engine` is the one
+validation point, shared by the simulator front door, the timing
+studies' ``engine_spec=`` and the CLI's ``--engine`` choices; and an
+unknown name fails before any design point runs, naming the valid
+choices.
 """
 
 import pytest
 
-from repro.gpusim import EngineSpec, scaled_config
-from repro.gpusim.simulator import DependencyDrivenSimulator, SimResult
-from repro.gpusim.vector_sim import (
-    RELAXED_CYCLE_TOLERANCE,
-    RelaxedVerificationError,
-    check_relaxed_contract,
+from repro.analysis.correlation_study import run_correlation_study
+from repro.analysis.perf_study import run_perf_study
+from repro.cli import main
+from repro.engine import get_experiment
+from repro.gpusim import ENGINES, check_engine, scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
+
+CHOICES = "expected one of: vectorized, legacy"
+
+
+def test_engines_are_the_two_exact_engines():
+    assert ENGINES == ("vectorized", "legacy")
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_check_engine_accepts_each_engine(name):
+    assert check_engine(name) == name
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "relaxed",
+        "warp-speed",
+        "",
+        # The retired ``name:key=value`` spec strings and near-miss
+        # spellings are not engine names either.
+        "relaxed:verify=0.5",
+        "vectorized:verify=1.0",
+        "legacy:tolerance=0.01",
+        "Vectorized",
+    ],
 )
+def test_check_engine_names_the_valid_choices(name):
+    with pytest.raises(ValueError, match=CHOICES):
+        check_engine(name)
 
 
-def _sim_result(cycles: float) -> SimResult:
-    return SimResult(
-        benchmark="VGG16",
-        mode="buddy",
-        cycles=cycles,
-        instructions=1000,
-        l1_hit_rate=0.5,
-        l2_hit_rate=0.5,
-        dram_bytes=10**6,
-        link_bytes=10**5,
-        metadata_hit_rate=0.9,
-        buddy_fills=100,
-        demand_fills=100,
-    )
+def test_simulator_rejects_unknown_engine():
+    with pytest.raises(ValueError, match=CHOICES):
+        DependencyDrivenSimulator(scaled_config(), "relaxed")
 
 
-class TestParse:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            EngineSpec(),
-            EngineSpec("legacy"),
-            EngineSpec("relaxed", 0.5),
-            EngineSpec("relaxed", 1.0, 0.02),
-            EngineSpec("relaxed", tolerance=0.05),
-        ],
-    )
-    def test_string_form_round_trips(self, spec):
-        assert EngineSpec.parse(str(spec)) == spec
-
-    def test_string_forms(self):
-        assert str(EngineSpec()) == "vectorized"
-        assert str(EngineSpec("relaxed", 0.5)) == "relaxed:verify=0.5"
-        assert (
-            str(EngineSpec("relaxed", 0.5, 0.02))
-            == "relaxed:verify=0.5,tolerance=0.02"
-        )
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "warp-speed",  # unknown engine
-            "relaxed:bogus=1",  # unknown option
-            "relaxed:verify",  # missing value
-            "relaxed:verify=fast",  # non-numeric
-        ],
-    )
-    def test_bad_strings_raise(self, text):
-        with pytest.raises(ValueError):
-            EngineSpec.parse(text)
+@pytest.mark.parametrize("study", [run_perf_study, run_correlation_study])
+def test_studies_reject_unknown_engine_before_running(study):
+    with pytest.raises(ValueError, match=CHOICES):
+        study(engine_spec="relaxed")
 
 
-class TestValidation:
-    def test_verify_requires_relaxed(self):
-        with pytest.raises(ValueError, match="already exact"):
-            EngineSpec("vectorized", verify=0.5)
-
-    def test_verify_must_be_fraction(self):
-        with pytest.raises(ValueError, match="fraction"):
-            EngineSpec("relaxed", verify=1.5)
-
-    def test_tolerance_requires_relaxed(self):
-        with pytest.raises(ValueError, match="no tolerances"):
-            EngineSpec("legacy", tolerance=0.05)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            EngineSpec("relaxed", tolerance=0.0)
+@pytest.mark.parametrize("study", [run_perf_study, run_correlation_study])
+@pytest.mark.parametrize("kwargs", [{"engine": "legacy"}, {"verify": 0.5}])
+def test_studies_take_no_legacy_engine_kwargs(study, kwargs):
+    with pytest.raises(TypeError):
+        study(**kwargs)
 
 
-class TestCoerce:
-    def test_spec_object_passes_through(self):
-        spec = EngineSpec("relaxed", 0.5)
-        assert EngineSpec.coerce(spec) is spec
-
-    def test_string_spec_is_parsed(self):
-        assert EngineSpec.coerce("relaxed:verify=1.0") == EngineSpec(
-            "relaxed", 1.0
-        )
-
-    def test_default(self):
-        assert EngineSpec.coerce() == EngineSpec()
-
-    def test_legacy_kwargs_warn_with_replacement(self):
-        with pytest.warns(
-            DeprecationWarning, match="engine_spec='relaxed:verify=0.5'"
-        ):
-            spec = EngineSpec.coerce(
-                engine="relaxed", verify=0.5, where="run_perf_study"
-            )
-        assert spec == EngineSpec("relaxed", 0.5)
-
-    def test_legacy_engine_alone_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert EngineSpec.coerce(engine="legacy") == EngineSpec("legacy")
-
-    def test_mixing_spec_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="only engine_spec="):
-            EngineSpec.coerce("vectorized", engine="legacy")
-
-    def test_studies_reject_mixed_selection_before_running(self):
-        from repro.analysis.correlation_study import run_correlation_study
-        from repro.analysis.perf_study import run_perf_study
-
-        with pytest.raises(TypeError, match="run_perf_study"):
-            run_perf_study(engine_spec="vectorized", engine="legacy")
-        with pytest.raises(TypeError, match="run_correlation_study"):
-            run_correlation_study(engine_spec="vectorized", verify=0.0)
+@pytest.mark.parametrize("experiment", ["perf.fig11", "correlation.fig10"])
+def test_engine_is_the_only_engine_axis(experiment):
+    defaults = get_experiment(experiment).resolve_params(None)
+    assert defaults["engine"] == "vectorized"
+    assert "verify" not in defaults
 
 
-class TestStudyParams:
-    def test_name_and_verify_are_the_cache_axes(self):
-        assert EngineSpec("relaxed", 0.5).study_params() == {
-            "engine": "relaxed",
-            "verify": 0.5,
-        }
-
-    def test_defaults_match_experiment_defaults(self):
-        """The facade's defaults must not fork existing cache keys."""
-        from repro.engine import get_experiment
-
-        defaults = get_experiment("perf.fig11").resolve_params(None)
-        params = EngineSpec().study_params()
-        assert defaults["engine"] == params["engine"]
-        assert defaults["verify"] == params["verify"]
-
-    def test_tolerance_never_becomes_a_parameter(self):
-        with pytest.raises(ValueError, match="direct-simulation knob"):
-            EngineSpec("relaxed", tolerance=0.05).study_params()
-
-
-class TestSimulatorThreading:
-    def test_from_spec_threads_all_fields(self):
-        sim = DependencyDrivenSimulator.from_spec(
-            scaled_config(), "relaxed:verify=0.25,tolerance=0.05"
-        )
-        assert sim.engine == "relaxed"
-        assert sim.verify == 0.25
-        assert sim.tolerance == 0.05
-
-    def test_spec_simulator_matches_from_spec(self):
-        spec = EngineSpec("relaxed", 0.25, 0.05)
-        sim = spec.simulator(scaled_config())
-        assert (sim.engine, sim.verify, sim.tolerance) == (
-            "relaxed",
-            0.25,
-            0.05,
-        )
-
-    def test_simulator_rejects_tolerance_for_exact_engines(self):
-        with pytest.raises(ValueError, match="no tolerances"):
-            DependencyDrivenSimulator(scaled_config(), tolerance=0.05)
-
-
-class TestContractTolerance:
-    def test_custom_tolerance_loosens_the_contract(self):
-        oracle = _sim_result(cycles=10000.0)
-        relaxed = _sim_result(cycles=10500.0)  # 5% off
-        assert 0.05 > RELAXED_CYCLE_TOLERANCE
-        with pytest.raises(RelaxedVerificationError, match="cycles"):
-            check_relaxed_contract(relaxed, oracle, exact=False)
-        check_relaxed_contract(relaxed, oracle, exact=False, tolerance=0.10)
-
-    def test_custom_tolerance_still_binds(self):
-        oracle = _sim_result(cycles=10000.0)
-        relaxed = _sim_result(cycles=12000.0)  # 20% off
-        with pytest.raises(RelaxedVerificationError, match="cycles"):
-            check_relaxed_contract(relaxed, oracle, exact=False, tolerance=0.10)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "perf.fig11", "--engine", "relaxed"],
+        ["run", "perf.fig11", "--verify", "0.5"],
+        ["run", "perf.fig11", "--engine-spec", "vectorized"],
+    ],
+)
+def test_cli_rejects_retired_engine_flags(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro run: error:" in err
+    # The subcommand's usage line names the valid engine choices.
+    assert "--engine {%s}" % ",".join(ENGINES) in err

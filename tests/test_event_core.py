@@ -2,12 +2,10 @@
 
 ``repro/gpusim/_event_core.py`` dispatches between the optional C
 extension and the pure-Python loop.  The two must be **bit-identical**
-on every observable — counters, cycles, and the recorded tape columns
-— because engine results are digest-pinned and the compiled core must
-never become a cache axis.  These tests fuzz that identity across all
-compression modes and engines, pin the compacted tape round-trip
-against the legacy oracle, and assert the tape-memory reduction over
-the historical list-of-tuples representation.
+on every observable — counters and cycles — because engine results are
+digest-pinned and the compiled core must never become a cache axis.
+These tests fuzz that identity across all compression modes and close
+the loop against the legacy oracle.
 
 When the extension is unavailable (or ``REPRO_NO_EXT=1``), the
 equivalence tests skip and the fallback-only tests still run — CI
@@ -15,7 +13,6 @@ exercises both configurations.
 """
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +20,6 @@ import pytest
 from repro.cli import main
 from repro.core.entry import TargetRatio
 from repro.gpusim import (
-    REFERENCE_LINK_GBPS,
     CompressionMode,
     CompressionState,
     DependencyDrivenSimulator,
@@ -34,14 +30,9 @@ from repro.gpusim import (
 )
 from repro.gpusim import _event_core
 from repro.gpusim.trace import Op
-from repro.gpusim.vector_sim import (
-    _replay_tape,
-    _resolve_tape,
-    _TAPE_MEMO,
-    replay_links,
-)
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
+from tests.test_vector_sim import single_warp_case
 
 needs_ext = pytest.mark.skipif(
     not _event_core.compiled_active(),
@@ -210,232 +201,28 @@ class TestCompiledMatchesPython:
         for field in RESULT_FIELDS:
             assert getattr(compiled, field) == getattr(fallback, field), field
 
+    @pytest.mark.parametrize(
+        "name", ["VGG16", "354.cg", "356.sp", "FF_HPGMG", "FF_Lulesh"]
+    )
     @pytest.mark.parametrize("mode", list(CompressionMode))
-    def test_recorded_tapes_are_column_identical(self, mode):
-        """Both cores record byte-identical tape columns, and each
-        core's replay of that tape gives the same cycles."""
-        trace = generate_trace("VGG16", SMALL_TRACE)
-        state = small_state("VGG16", mode, trace)
-        config = SMALL_GPU.with_link(REFERENCE_LINK_GBPS)
-
-        _TAPE_MEMO.pop(trace, None)
-        tape_c, result_c = _resolve_tape(trace, state, config, need_tape=True)
-        _TAPE_MEMO.pop(trace, None)
-        with _event_core.force_python():
-            tape_p, result_p = _resolve_tape(
-                trace, state, config, need_tape=True
-            )
-        _TAPE_MEMO.pop(trace, None)
-
-        assert result_c.cycles == result_p.cycles
-        assert tape_c.event_count == tape_p.event_count
-        for col_c, col_p in zip(tape_c.cols, tape_p.cols):
-            np.testing.assert_array_equal(np.asarray(col_c), np.asarray(col_p))
-
-        off_link = SMALL_GPU.with_link(50.0)
-        replay_c = _replay_tape(tape_c, off_link)
-        with _event_core.force_python():
-            replay_p = _replay_tape(tape_p, off_link)
-        assert replay_c == replay_p
-
-    def test_relaxed_engine_end_to_end(self):
-        trace = generate_trace("354.cg", SMALL_TRACE)
-        state = small_state("354.cg", CompressionMode.BUDDY, trace)
-        config = SMALL_GPU.with_link(50.0)
-        _TAPE_MEMO.pop(trace, None)
-        compiled = DependencyDrivenSimulator(config, "relaxed").run(
-            trace, state
+    @pytest.mark.parametrize("link", [50.0, 150.0, 200.0])
+    def test_generated_trace_all_modes(self, name, mode, link):
+        trace = generate_trace(name, SMALL_TRACE)
+        state = small_state(name, mode, trace)
+        compiled, fallback = run_both_cores(
+            trace, state, SMALL_GPU.with_link(link)
         )
-        _TAPE_MEMO.pop(trace, None)
-        with _event_core.force_python():
-            fallback = DependencyDrivenSimulator(config, "relaxed").run(
-                trace, state
-            )
-        _TAPE_MEMO.pop(trace, None)
         for field in RESULT_FIELDS:
             assert getattr(compiled, field) == getattr(fallback, field), field
 
-
-def record_small_tape(benchmark="VGG16", mode=CompressionMode.BUDDY):
-    trace = generate_trace(benchmark, SMALL_TRACE)
-    state = small_state(benchmark, mode, trace)
-    config = SMALL_GPU.with_link(REFERENCE_LINK_GBPS)
-    _TAPE_MEMO.pop(trace, None)
-    tape, result = _resolve_tape(trace, state, config, need_tape=True)
-    _TAPE_MEMO.pop(trace, None)
-    return trace, state, config, tape, result
-
-
-# ---------------------------------------------------------------------------
-# Tape compaction (runs on whichever core is active).
-# ---------------------------------------------------------------------------
-class TestTapeCompaction:
-    def record_tape(self, benchmark="VGG16", mode=CompressionMode.BUDDY):
-        return record_small_tape(benchmark, mode)
-
-    def test_round_trip_replay_matches_legacy(self):
-        """record -> compact arrays -> replay == the legacy oracle at
-        the recording link (exactly, not within tolerance)."""
-        trace, state, config, tape, result = self.record_tape()
-        legacy = DependencyDrivenSimulator(config, engine="legacy").run(
-            trace, state
-        )
-        assert _replay_tape(tape, config) == legacy.cycles == result.cycles
-
-    def test_tape_stores_columns_not_tuples(self):
-        _trace, _state, _config, tape, _result = self.record_tape()
-        assert not hasattr(tape, "events")
-        assert len(tape.cols) == 12
-        assert all(isinstance(col, np.ndarray) for col in tape.cols)
-        kinds = np.asarray(tape.cols[0])
-        assert kinds.dtype == np.int8
-        assert tape.event_count == kinds.shape[0] > 0
-        # One warp-end row per warp, in-tape.
-        assert int((kinds == 8).sum()) == tape.warp_count
-
-    def test_tape_memory_reduced_vs_tuple_events(self):
-        """Column storage stays below a strict *lower bound* on the
-        historical ``events: list[tuple]`` representation.
-
-        The bound counts only the list slot and the bare tuple object
-        per event (at the arity the old tape used for that kind), and
-        ignores the boxed float payloads the tuples also retained —
-        the real historical footprint was larger still.  Uses the
-        Fig. 11 default trace geometry — the longest tape the study
-        records.
-        """
-        config = scaled_config()
-        trace_config = TraceConfig(
-            sm_count=config.sm_count, warps_per_sm=config.warps_per_sm
-        )
-        trace = generate_trace("VGG16", trace_config)
-        snapshot = layout_snapshot("VGG16", trace_config)
-        selection = {a.name: TargetRatio.X2 for a in snapshot.allocations}
-        state = CompressionState.from_snapshot(
-            snapshot, selection, CompressionMode.BUDDY
-        )
-        _TAPE_MEMO.pop(trace, None)
-        tape, _result = _resolve_tape(
-            trace, state, config.with_link(REFERENCE_LINK_GBPS),
-            need_tape=True,
-        )
-        _TAPE_MEMO.pop(trace, None)
-        # kind -> historical tuple arity, from the pre-compaction tape:
-        # (2,w,sm,serv,ch,mmiss,mserv,mch,bnum,wbserv,wbch,wbbnum) etc.
-        arity = {0: 4, 1: 4, 2: 12, 3: 4, 4: 3, 5: 6, 6: 12, 7: 4, 8: 2}
-        kinds = np.asarray(tape.cols[0])
-        counts = {k: int((kinds == k).sum()) for k in arity}
-        list_slot = 8
-        lower_bound = sum(
-            count * (sys.getsizeof(tuple(range(arity[k]))) + list_slot)
-            for k, count in counts.items()
-        )
-        assert tape.event_count > 50_000  # a real recording, not a toy
-        assert tape.nbytes < lower_bound
-        # ~57 B/event for the 12-column pack; pin against regressions.
-        assert tape.nbytes / tape.event_count <= 60
-
-    def test_fallback_and_compiled_agree_on_nbytes_shape(self):
-        """`nbytes`/`event_count` report the same tape geometry on
-        either core (columns differ only in memory provenance)."""
-        _trace, _state, _config, tape, _result = self.record_tape(
-            benchmark="354.cg"
-        )
-        assert tape.nbytes == sum(int(c.nbytes) for c in tape.cols)
-        per_event = tape.nbytes / tape.event_count
-        assert 40 <= per_event <= 60
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-link replay (runs on whichever core is active; the
-# compiled-vs-fallback identity tests additionally need the extension).
-# ---------------------------------------------------------------------------
-def replay_packs(tape, config, links):
-    """The (iscalars, fscalars_list) a batched replay of ``links`` uses."""
-    iscalars = (tape.warp_count, tape.sm_count, tape.channels)
-    packs = []
-    for link in links:
-        cfg = config.with_link(link)
-        packs.append(
-            (
-                cfg.issue_interval,
-                float(cfg.dram_latency),
-                float(cfg.l2_latency),
-                cfg.link.bytes_per_cycle(cfg.clock_hz),
-                float(cfg.link.latency_cycles),
-                tape.fill_tail,
-            )
-        )
-    return iscalars, packs
-
-
-class TestBatchedReplay:
-    LINKS = (25.0, 50.0, 120.0, REFERENCE_LINK_GBPS, 300.0, 900.0)
-
-    def test_batched_equals_serial_per_link(self):
-        """replay_tape_many == [replay_tape per link], bit for bit."""
-        _trace, _state, config, tape, _result = record_small_tape()
-        off = [link for link in self.LINKS if link != REFERENCE_LINK_GBPS]
-        iscalars, packs = replay_packs(tape, SMALL_GPU, off)
-        batched = _event_core.replay_tape_many(
-            tape.cols, tape.warp_mlp, iscalars, packs
-        )
-        serial = tuple(
-            _replay_tape(tape, SMALL_GPU.with_link(link)) for link in off
-        )
-        assert tuple(batched) == serial
-
-    def test_empty_pack_list_returns_empty(self):
-        _trace, _state, _config, tape, _result = record_small_tape("354.cg")
-        iscalars = (tape.warp_count, tape.sm_count, tape.channels)
-        assert (
-            tuple(_event_core.replay_tape_many(
-                tape.cols, tape.warp_mlp, iscalars, []
-            ))
-            == ()
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_replay_links_matches_serial_relaxed_loop(self, seed):
-        """The batched engine front end is bit-identical to looping
-        RelaxedSimulator over ``config.with_link(link)``."""
-        trace, rng = fuzz_trace(seed)
-        state = fuzz_state(CompressionMode.BUDDY, rng, trace)
-        config = scaled_config(sm_count=2, warps_per_sm=4)
-        _TAPE_MEMO.pop(trace, None)
-        batched = replay_links(trace, state, config, self.LINKS)
-        serial = [
-            DependencyDrivenSimulator(
-                config.with_link(link), "relaxed"
-            ).run(trace, state)
-            for link in self.LINKS
-        ]
-        _TAPE_MEMO.pop(trace, None)
-        for link, got, want in zip(self.LINKS, batched, serial):
-            for field in RESULT_FIELDS:
-                assert getattr(got, field) == getattr(want, field), (
-                    link, field,
-                )
-
-    @needs_ext
-    def test_compiled_and_fallback_batched_replays_agree(self):
-        """Batched replay is digest-identical across builds — the
-        compiled core must never become a cache axis."""
-        _trace, _state, config, tape, _result = record_small_tape()
-        off = [link for link in self.LINKS if link != REFERENCE_LINK_GBPS]
-        iscalars, packs = replay_packs(tape, SMALL_GPU, off)
-        compiled = tuple(
-            _event_core.replay_tape_many(
-                tape.cols, tape.warp_mlp, iscalars, packs
-            )
-        )
-        with _event_core.force_python():
-            fallback = tuple(
-                _event_core.replay_tape_many(
-                    tape.cols, tape.warp_mlp, iscalars, packs
-                )
-            )
-        assert compiled == fallback
+    @pytest.mark.parametrize("mode", list(CompressionMode))
+    @pytest.mark.parametrize("link", [50.0, 100.0, 150.0, 200.0])
+    def test_single_warp_traces(self, mode, link):
+        trace, state = single_warp_case(mode)
+        config = scaled_config(sm_count=1, warps_per_sm=1).with_link(link)
+        compiled, fallback = run_both_cores(trace, state, config)
+        for field in RESULT_FIELDS:
+            assert getattr(compiled, field) == getattr(fallback, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +236,7 @@ class TestDoctorCLI:
         assert ("compiled" in out) or ("python" in out)
         assert "numpy:" in out
         assert str(tmp_path) in out
-        assert "tape cache:" in out
+        assert "tape" not in out
 
     def test_json_report(self, capsys, tmp_path):
         assert main(["doctor", "--json", "--cache-dir", str(tmp_path)]) == 0
@@ -458,13 +245,7 @@ class TestDoctorCLI:
         assert info["event_core"]["extension_abi"] == _event_core.EXT_ABI
         assert info["numpy"] == np.__version__
         assert info["cache"]["root"] == str(tmp_path)
-        from repro.gpusim.vector_sim import TAPE_FORMAT_VERSION
-
-        assert info["tape"] == {
-            "format_version": TAPE_FORMAT_VERSION,
-            "entries": 0,
-            "bytes": 0,
-        }
+        assert "tape" not in info
 
     def test_doctor_reflects_active_core(self, capsys, tmp_path):
         expected = (

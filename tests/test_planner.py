@@ -30,9 +30,7 @@ from repro.engine import (
 )
 from repro.engine.cache import CacheKey
 from repro.engine.planner import execute_plan, plan
-from repro.gpusim.config import scaled_config
 from repro.workloads.snapshots import SnapshotConfig, clear_snapshot_cache
-from repro.workloads.traces import TraceConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 
@@ -211,64 +209,6 @@ class TestExecutionCounters:
         warm = runner.run_sweep(requests)
         assert warm.execution.points_executed == 0
         assert warm.execution.point_cache_hits == warm.execution.points
-        assert [result_digest(v) for v in warm.values] == [
-            result_digest(v) for v in cold.values
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Tape planning: one recording per (trace, state, geometry) per sweep.
-# ---------------------------------------------------------------------------
-class TestTapePlanning:
-    # A trace geometry no other test records, so process-global tape
-    # memos and blob stores can never pre-warm these points.
-    TRACE = TraceConfig(
-        sm_count=4,
-        warps_per_sm=8,
-        memory_instructions_per_warp=22,
-        snapshot_config=TINY,
-    )
-    GPU = scaled_config(sm_count=4, warps_per_sm=8)
-
-    def _requests(self, benchmarks=("354.cg", "AlexNet")):
-        return [
-            (
-                "perf.fig11",
-                {
-                    "benchmarks": tuple(benchmarks),
-                    "config": self.GPU,
-                    "trace_config": self.TRACE,
-                    "link_sweep": (50.0, 150.0, 300.0),
-                    "profile_config": TINY,
-                    "engine": "relaxed",
-                    "verify": 0.0,
-                },
-            ),
-            (
-                "correlation.fig10",
-                {
-                    "benchmarks": tuple(benchmarks[:1]),
-                    "instruction_scales": (6,),
-                    "engine": "relaxed",
-                    "verify": 0.0,
-                },
-            ),
-        ]
-
-    def test_one_tape_recording_per_relaxed_benchmark(self, tmp_path):
-        _reset_memos()
-        runner = ExperimentRunner(cache=ResultCache(tmp_path))
-        requests = self._requests()
-        sweep_plan = plan(requests, runner)
-        # fig10's relaxed points run at the reference interconnect
-        # only (exact, tape-free), so the co-submitted sweep plans
-        # exactly one tape node per fig11 relaxed benchmark.
-        assert len(sweep_plan.tape_nodes) == 2
-        cold = execute_plan(sweep_plan, runner)
-        assert cold.execution.tape_recordings == 2
-
-        warm = execute_plan(plan(requests, runner), runner)
-        assert warm.execution.tape_recordings == 0
         assert [result_digest(v) for v in warm.values] == [
             result_digest(v) for v in cold.values
         ]

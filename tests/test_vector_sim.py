@@ -5,7 +5,9 @@ per-access oracle on every observable: identical integer traffic
 counters, identical hit rates and bit-identical cycle counts, across
 all three compression modes, several benchmarks and link bandwidths.
 These tests pin that contract, the batched component APIs it builds
-on, and a golden Fig. 11 subset digest shared by both engines.
+on, the columnar ports of the cycle-stepped reference and the
+metadata study, and a golden Fig. 11 subset digest shared by both
+engines.
 """
 
 import numpy as np
@@ -25,7 +27,10 @@ from repro.gpusim import (
 )
 from repro.gpusim.cache import SectoredCache, sector_mask
 from repro.gpusim.dram import ChannelSet
+from repro.gpusim import _event_core
+from repro.gpusim import trace as trace_mod
 from repro.gpusim.interconnect import Interconnect
+from repro.gpusim.reference import CycleSteppedReference
 from repro.gpusim.trace import ColumnarTrace, Op
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
@@ -95,7 +100,7 @@ class TestEngineEquivalence:
         "name", ["VGG16", "354.cg", "356.sp", "FF_HPGMG", "FF_Lulesh"]
     )
     @pytest.mark.parametrize("mode", list(CompressionMode))
-    @pytest.mark.parametrize("link", [50.0, 150.0])
+    @pytest.mark.parametrize("link", [50.0, 100.0, 150.0, 200.0])
     def test_modes_benchmarks_links(self, name, mode, link):
         trace = generate_trace(name, SMALL_TRACE)
         if mode is CompressionMode.IDEAL:
@@ -203,6 +208,101 @@ class TestEngineEquivalence:
             trace, CompressionState.ideal(trace.footprint_bytes), config
         )
         assert legacy.dram_bytes > 0
+
+
+# ---------------------------------------------------------------------------
+# Trace shapes with little or no arbitration, at every link.
+# ---------------------------------------------------------------------------
+def single_warp_case(mode, seed=5, n=512):
+    """One warp of random loads, stores and compute over ``n`` lines."""
+    rng = np.random.default_rng(seed)
+    instructions = []
+    for _ in range(160):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            instructions.append((int(Op.COMPUTE), int(rng.integers(1, 12)), 0))
+        else:
+            op = Op.LOAD if kind == 1 else Op.STORE
+            instructions.append(
+                (int(op), int(rng.integers(0, n)) * 128, int(rng.integers(1, 5)))
+            )
+    trace = KernelTrace(
+        "unit", [WarpTrace(0, instructions, max_outstanding=2)], n * 128
+    )
+    if mode is CompressionMode.IDEAL:
+        state = CompressionState.ideal(trace.footprint_bytes)
+    else:
+        state = CompressionState(
+            mode,
+            rng.integers(1, 5, n).astype(np.int8),
+            rng.integers(0, 5, n).astype(np.int8),
+            rng.random(n) < 0.2,
+        )
+    return trace, state
+
+
+def non_contending_trace(config):
+    """Two warps on distinct SMs striding disjoint address ranges."""
+    warps = []
+    for w in range(2):
+        instructions = []
+        for i in range(64):
+            address = (i * config.dram_channels * 2 + w) * 128
+            instructions.append((int(Op.LOAD), address, 4))
+            instructions.append((int(Op.COMPUTE), 3, 0))
+        warps.append(WarpTrace(w, instructions, max_outstanding=2))
+    return KernelTrace("unit", warps, 1 << 24)
+
+
+class TestExactShapes:
+    @pytest.mark.parametrize("mode", list(CompressionMode))
+    @pytest.mark.parametrize("link", [50.0, 100.0, 150.0, 200.0])
+    def test_single_warp_traces(self, mode, link):
+        trace, state = single_warp_case(mode)
+        config = scaled_config(sm_count=1, warps_per_sm=1).with_link(link)
+        assert_equivalent(trace, state, config)
+
+    @pytest.mark.parametrize("link", [50.0, 200.0])
+    def test_non_contending_warps(self, link):
+        config = scaled_config(sm_count=2, warps_per_sm=1).with_link(link)
+        trace = non_contending_trace(config)
+        assert_equivalent(
+            trace, CompressionState.ideal(trace.footprint_bytes), config
+        )
+
+    @pytest.mark.parametrize("link", [50.0, 150.0, 200.0])
+    def test_ideal_mode_without_host_traffic(self, link):
+        trace = generate_trace("VGG16", SMALL_TRACE)
+        state = CompressionState.ideal(trace.footprint_bytes)
+        assert_equivalent(trace, state, SMALL_GPU.with_link(link))
+
+    @pytest.mark.parametrize("engine", ["vectorized", "legacy"])
+    def test_ideal_mode_is_link_invariant(self, engine):
+        """IDEAL traces without host traffic never touch the link, so
+        every result field is the same at every bandwidth."""
+        trace = generate_trace("VGG16", SMALL_TRACE)
+        state = CompressionState.ideal(trace.footprint_bytes)
+        results = [
+            DependencyDrivenSimulator(SMALL_GPU.with_link(link), engine).run(
+                trace, state
+            )
+            for link in (25.0, 50.0, 150.0, 200.0)
+        ]
+        for field in RESULT_FIELDS:
+            assert len({getattr(r, field) for r in results}) == 1, field
+
+    @pytest.mark.parametrize("engine", ["vectorized", "legacy"])
+    def test_buddy_cycles_respond_to_the_link(self, engine):
+        """Slower links stretch buddy-bound kernels."""
+        trace = generate_trace("VGG16", SMALL_TRACE)
+        snapshot = layout_snapshot("VGG16", SMALL_TRACE)
+        selection = {a.name: TargetRatio.X2 for a in snapshot.allocations}
+        state = CompressionState.from_snapshot(
+            snapshot, selection, CompressionMode.BUDDY
+        )
+        slow = DependencyDrivenSimulator(SMALL_GPU.with_link(25.0), engine)
+        fast = DependencyDrivenSimulator(SMALL_GPU.with_link(200.0), engine)
+        assert slow.run(trace, state).cycles > fast.run(trace, state).cycles
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +454,96 @@ class TestColumnarTrace:
 
 
 # ---------------------------------------------------------------------------
+# Columnar ports: the cycle-stepped reference and the metadata study
+# no longer materialise per-warp tuple lists.
+# ---------------------------------------------------------------------------
+class TestColumnarPorts:
+    def test_reference_runs_columnar_native(self):
+        trace = generate_trace("370.bt", SMALL_TRACE)
+        assert trace._warps is None
+        before = trace_mod.tuple_materialisations
+        CycleSteppedReference(scaled_config(sm_count=4, warps_per_sm=8)).run(
+            trace, CompressionState.ideal(trace.footprint_bytes)
+        )
+        assert trace_mod.tuple_materialisations == before
+        assert trace._warps is None
+
+    def test_reference_is_representation_independent(self):
+        """Columnar and tuple-built traces simulate identically."""
+        config = scaled_config(sm_count=2, warps_per_sm=4)
+        trace_config = TraceConfig(
+            sm_count=2,
+            warps_per_sm=4,
+            memory_instructions_per_warp=12,
+            snapshot_config=SMALL_TRACE.snapshot_config,
+        )
+        columnar = generate_trace("VGG16", trace_config)
+        rebuilt = KernelTrace(
+            columnar.benchmark,
+            warps=columnar.columnar().materialise_warps(),
+            footprint_bytes=columnar.footprint_bytes,
+            allocation_ranges=columnar.allocation_ranges,
+            host_traffic_fraction=columnar.host_traffic_fraction,
+        )
+        state = CompressionState.ideal(columnar.footprint_bytes)
+        a = CycleSteppedReference(config).run(columnar, state)
+        b = CycleSteppedReference(config).run(rebuilt, state)
+        assert a == b
+
+    def test_metadata_stream_is_columnar_native(self):
+        from repro.analysis.metadata_study import metadata_access_stream
+
+        config = TraceConfig(
+            snapshot_config=SnapshotConfig(scale=1.0 / 2048)
+        )
+        trace = generate_trace("VGG16", config)
+        assert trace._warps is None
+        before = trace_mod.tuple_materialisations
+        stream = metadata_access_stream("VGG16", config)
+        assert trace_mod.tuple_materialisations == before
+        assert stream.size  # non-empty
+
+    def test_metadata_stream_matches_tuple_interleaving(self):
+        """The columnar derivation reproduces the historical
+        per-warp round-robin order exactly."""
+        from repro.analysis.metadata_study import metadata_access_stream
+
+        config = TraceConfig(
+            sm_count=2,
+            warps_per_sm=4,
+            memory_instructions_per_warp=16,
+            snapshot_config=SMALL_TRACE.snapshot_config,
+        )
+        for name in ("354.cg", "FF_HPGMG"):
+            trace = generate_trace(name, config)
+            streams = [
+                [
+                    instr[1] // 128
+                    for instr in warp.instructions
+                    if instr[0] != Op.COMPUTE
+                ]
+                for warp in trace.columnar().materialise_warps()
+            ]
+            expected = []
+            depth = max(len(s) for s in streams)
+            for index in range(depth):
+                for stream in streams:
+                    if index < len(stream):
+                        expected.append(stream[index])
+            assert metadata_access_stream(name, config).tolist() == expected
+
+    def test_legacy_engine_still_materialises(self):
+        """The oracle intentionally walks tuple lists — the counter
+        catches any columnar consumer regressing onto that path."""
+        trace = generate_trace("370.bt", SMALL_TRACE)
+        before = trace_mod.tuple_materialisations
+        DependencyDrivenSimulator(SMALL_GPU, "legacy").run(
+            trace, CompressionState.ideal(trace.footprint_bytes)
+        )
+        assert trace_mod.tuple_materialisations == before + 1
+
+
+# ---------------------------------------------------------------------------
 # Golden digest: the Fig. 11 subset, identical for both engines.
 # ---------------------------------------------------------------------------
 class TestGoldenDigest:
@@ -371,6 +561,21 @@ class TestGoldenDigest:
             link_sweep=(50.0, 150.0),
             profile_config=SnapshotConfig(scale=1.0 / 65536),
             runner=ExperimentRunner(),
-            engine=engine,
+            engine_spec=engine,
         )
+        assert result_digest(result) == self.GOLDEN
+
+    def test_fig11_subset_digest_on_python_core(self):
+        """The pure-Python event core lands on the same golden."""
+        from repro.analysis.perf_study import run_perf_study
+
+        with _event_core.force_python():
+            result = run_perf_study(
+                benchmarks=("VGG16", "354.cg"),
+                trace_config=SMALL_TRACE,
+                link_sweep=(50.0, 150.0),
+                profile_config=SnapshotConfig(scale=1.0 / 65536),
+                runner=ExperimentRunner(),
+                engine_spec="vectorized",
+            )
         assert result_digest(result) == self.GOLDEN
