@@ -15,10 +15,22 @@ Two interchangeable implementations sit behind the same interface:
   reference for the contract;
 * the optional C extension :mod:`repro.gpusim._event_core_ext`
   (``_event_core_ext.c``, built by ``setup.py build_ext``) — a
-  line-for-line transcription of the fallback using the same IEEE
-  double operations in the same order, so counters *and* cycles are
-  bit-identical between the two (``tests/test_event_core.py`` pins
-  this; the CI ``event-core`` job diffs full study digests).
+  transcription of the fallback using the same IEEE double operations
+  in the same order, so counters *and* cycles are bit-identical
+  between the two (``tests/test_event_core.py`` pins this; the CI
+  ``event-core`` job diffs full study digests).
+
+Pop order is the contract both share: events leave the scheduler in
+strict ``(ready, sequence)`` order, where ``sequence`` is unique and
+grows by one per executed instruction.  The fallback gets it from
+``heapq`` over ``(ready, sequence, warp)`` tuples; the compiled core
+from one packed 128-bit key per warp (``ready bits << 64 | sequence
+<< 20 | warp``), which orders the same way because every ready time is
+a non-negative, non-NaN sum starting at ``+0.0``.  The key's
+preconditions are part of the pack validation both cores run before
+the loop (:func:`_check_pack`): a malformed pack raises the same
+``TypeError`` or ``ValueError`` from either core instead of reading
+out of bounds or wrapping an index.
 
 Selection happens once at import: the extension is used when it
 imports and its ``ABI`` constant matches :data:`EXT_ABI` (a stale
@@ -26,6 +38,14 @@ imports and its ``ABI`` constant matches :data:`EXT_ABI` (a stale
 ``REPRO_NO_EXT=1`` in the environment forces the pure-Python path;
 :func:`force_python` forces it temporarily (the benchmark suite uses
 it to measure the compiled speedup in one process).
+
+The compiled core releases the GIL while it validates and simulates,
+so :func:`run_exact_many` runs independent packs (one Fig. 11 point's
+six simulations) on a per-call thread pool as wide as the CPUs this
+process may use.  It runs them one after another on the pure-Python
+core, on one CPU and inside a ``multiprocessing`` worker, whose pool
+already uses the CPUs.  Results come back in input order and are
+identical either way, because each pack runs alone on its own state.
 
 Array-pack layout
 -----------------
@@ -40,13 +60,18 @@ are indexed by ``I_*`` / ``F_*``.
 from __future__ import annotations
 
 import gc
+import math
 import os
 from contextlib import contextmanager
 from itertools import repeat
 
-#: Bump when the array-pack layout changes; a compiled extension whose
-#: ``ABI`` constant differs is silently ignored (stale build).
-EXT_ABI = 3
+import numpy as np
+
+#: Bump when the array-pack layout or the call contract changes (4: the
+#: compiled core validates packs and releases the GIL); a compiled
+#: extension whose ``ABI`` constant differs is silently ignored (stale
+#: build).
+EXT_ABI = 4
 
 _ext = None
 _ext_error: str | None = None
@@ -134,6 +159,314 @@ def force_python():
     F_ROW_HIT_OV, F_ROW_MISS_OV,
 ) = range(11)
 
+#: Slot names as the error messages spell them (mirrored in
+#: _event_core_ext.c).
+_A_NAMES = (
+    "codes", "busy", "lid", "mask", "l1flat", "l2set",
+    "chan", "row", "bank",
+    "dev", "serv_hit", "serv_miss",
+    "bud", "bnum", "hbytes", "hnum",
+    "mtag", "mslot", "mchan", "mrow", "mbank",
+    "wb_dev", "wb_serv", "wb_bud", "wb_bnum",
+    "wb_ideal_bytes", "wb_ideal_serv",
+    "warp_start", "warp_sm", "warp_mlp",
+)
+_I_NAMES = (
+    "warp_count", "sm_count", "channels", "banks",
+    "line_bytes", "row_bytes", "entries",
+    "l1_sets", "l1_ways", "l2_sets", "l2_ways",
+    "meta_slots", "meta_ways",
+    "ideal", "use_meta", "full_mask", "meta_line_bytes",
+)
+_F_NAMES = (
+    "interval", "l1_lat", "l2_lat", "dram_lat",
+    "link_bpc", "link_lat", "fill_tail",
+    "meta_serv_hit", "meta_serv_miss",
+    "row_hit_ov", "row_miss_ov",
+)
+
+# -- pack limits (mirrored in _event_core_ext.c) ----------------------------
+_MAX_WARPS = 1 << 20  # warp bits of the compiled heap key
+_MAX_EVENTS = 1 << 44  # sequence bits of the compiled heap key
+_MAX_DIM = 1 << 24  # cache/DRAM/SM dimensions
+_MAX_FULL_MASK_BITS = 62
+#: +inf: the largest bit pattern of a valid (non-negative) time.
+_TIME_BITS_MAX = 0x7FF0000000000000
+
+_FLOAT_SLOTS = frozenset(
+    (A_BUSY, A_SERV_HIT, A_SERV_MISS, A_WB_SERV, A_WB_IDEAL_SERV)
+)
+#: Byte counts that become link transfer times.
+_NONNEG_SLOTS = frozenset((A_BNUM, A_HNUM, A_WB_BNUM))
+#: Columns owned by the trace/machine geometry, shared by every
+#: compression state; the rest belong to the state.
+_GEOMETRY_SLOTS = tuple(
+    k
+    for k in range(len(_A_NAMES))
+    if k != A_CODES
+    and not A_DEV <= k <= A_BNUM
+    and not A_WB_DEV <= k <= A_WB_IDEAL_SERV
+)
+_GEOMETRY_ISCALARS = tuple(
+    k for k in range(len(_I_NAMES)) if k not in (I_ENTRIES, I_IDEAL, I_USE_META)
+)
+
+
+def _index_bound(k, isc):
+    """Exclusive index bound of slot ``k`` (0: not an index column)."""
+    if k == A_CODES:
+        return 6
+    if k == A_LID:
+        # victim * line_bytes must not overflow an int64
+        return (2**63 - 1) // isc[I_LINE_BYTES] + 1
+    if k == A_MASK:
+        return isc[I_FULL_MASK] + 1
+    if k == A_L1FLAT:
+        return isc[I_L1_SETS]
+    if k == A_L2SET:
+        return isc[I_L2_SETS]
+    if k in (A_CHAN, A_MCHAN):
+        return isc[I_CHANNELS]
+    if k in (A_BANK, A_MBANK):
+        return isc[I_CHANNELS] * isc[I_BANKS]
+    if k == A_MSLOT:
+        return isc[I_META_SLOTS]
+    if k == A_WARP_SM:
+        return isc[I_SM_COUNT]
+    return 0
+
+
+def _view(col, k):
+    """Slot ``k`` as a 1-D C-contiguous int64/float64 buffer, or None."""
+    if col is None:
+        return None
+    kind = "float64" if k in _FLOAT_SLOTS else "int64"
+    message = (
+        f"event core: column {_A_NAMES[k]!r} must be a 1-D C-contiguous "
+        f"{kind} buffer"
+    )
+    try:
+        view = memoryview(col)
+    except TypeError:
+        raise TypeError(message) from None
+    if not view.c_contiguous:
+        raise TypeError(message)
+    fmt = view.format[1:] if view.format[:1] in ("@", "=") else view.format
+    if not (
+        view.ndim == 1
+        and view.itemsize == 8
+        and (fmt == "d" if k in _FLOAT_SLOTS else fmt in ("l", "q"))
+    ):
+        raise TypeError(
+            f"{message} (got format {view.format!r}, itemsize "
+            f"{view.itemsize}, ndim {view.ndim})"
+        )
+    return view
+
+
+def _check_shape(views, isc, fsc, n_rows):
+    """Scalars, presence and lengths: the checks that scan no column."""
+    for k, value in enumerate(isc):
+        if k in (I_IDEAL, I_USE_META, I_META_LINE_BYTES):
+            continue
+        if k == I_FULL_MASK:
+            if not (
+                0 <= value < 1 << _MAX_FULL_MASK_BITS and value & (value + 1) == 0
+            ):
+                raise ValueError(
+                    "event core: iscalar 'full_mask' must be 2**k - 1 with "
+                    f"0 <= k < {_MAX_FULL_MASK_BITS}, got {value}"
+                )
+            continue
+        if k == I_WARP_COUNT:
+            lo, hi = 0, _MAX_WARPS - 1
+        elif k == I_ENTRIES:
+            lo, hi = 1, 2**63 - 1
+        else:
+            lo, hi = 1, _MAX_DIM
+        if not lo <= value <= hi:
+            raise ValueError(
+                f"event core: iscalar {_I_NAMES[k]!r} must be in [{lo}, {hi}], "
+                f"got {value}"
+            )
+    for k, value in enumerate(fsc):
+        if k == F_LINK_BPC:
+            if not value > 0.0:
+                raise ValueError(
+                    "event core: fscalar 'link_bpc' must be a positive rate"
+                )
+        elif not (value >= 0.0 and math.copysign(1.0, value) > 0.0):
+            raise ValueError(
+                f"event core: fscalar {_F_NAMES[k]!r} must be a non-negative "
+                "time (not NaN or -0.0)"
+            )
+
+    ideal = bool(isc[I_IDEAL])
+    use_meta = bool(isc[I_USE_META])
+    for k, view in enumerate(views):
+        if k <= A_SERV_MISS or k >= A_WARP_START:
+            required = True
+        elif k in (A_BUD, A_BNUM, A_WB_BUD, A_WB_BNUM) or A_MTAG <= k <= A_MBANK:
+            required = use_meta
+        elif k in (A_WB_DEV, A_WB_SERV):
+            required = not ideal
+        elif k in (A_WB_IDEAL_BYTES, A_WB_IDEAL_SERV):
+            required = ideal
+        else:
+            required = False  # hbytes/hnum: only when host events exist
+        if required and view is None:
+            raise TypeError(
+                f"event core: column {_A_NAMES[k]!r} is required (got None)"
+            )
+
+    for k, view in enumerate(views):
+        if view is None:
+            continue
+        rows = view.nbytes // 8
+        if k <= A_MBANK:
+            if rows == n_rows:
+                continue
+            relation, want = "", n_rows
+        else:
+            relation = "at least "
+            if A_WB_DEV <= k <= A_WB_BNUM:
+                want = isc[I_ENTRIES]
+            elif k in (A_WB_IDEAL_BYTES, A_WB_IDEAL_SERV):
+                want = isc[I_FULL_MASK] + 1
+            elif k == A_WARP_START:
+                want = isc[I_WARP_COUNT] + 1
+            else:
+                want = isc[I_WARP_COUNT]
+            if rows >= want:
+                continue
+        raise ValueError(
+            f"event core: column {_A_NAMES[k]!r} has {rows} rows, expected "
+            f"{relation}{want}"
+        )
+    if n_rows >= _MAX_EVENTS - isc[I_WARP_COUNT]:
+        raise ValueError("event core: warp_count + rows must be below 2**44")
+
+
+def _scan_columns(arrays, views, isc, n_rows, geometry):
+    """Value checks of the geometry or the state columns, in slot order."""
+    warp_count = isc[I_WARP_COUNT]
+    has_host = has_rmw = False
+    for k, view in enumerate(views):
+        if view is None or (k in _GEOMETRY_SLOTS) != geometry:
+            continue
+        bits = np.frombuffer(view, dtype=np.uint64)
+        if k == A_WARP_SM:
+            bits = bits[:warp_count]
+        top = int(bits.max()) if bits.size else None
+        bound = _index_bound(k, isc)
+        name = _A_NAMES[k]
+        if bound:
+            if top is not None and top >= bound:
+                raise ValueError(
+                    f"event core: column {name!r} holds a value outside "
+                    f"[0, {bound})"
+                )
+        elif k in _FLOAT_SLOTS:
+            if top is not None and top > _TIME_BITS_MAX:
+                raise ValueError(
+                    f"event core: column {name!r} holds a negative, NaN or "
+                    "-0.0 time"
+                )
+        elif k in _NONNEG_SLOTS:
+            if top is not None and top >= 1 << 63:
+                raise ValueError(
+                    f"event core: column {name!r} holds a negative value"
+                )
+        elif k == A_WARP_START:
+            starts = bits.view(np.int64)[: warp_count + 1]
+            if starts[0] < 0 or starts[-1] > n_rows or (np.diff(starts) < 0).any():
+                raise ValueError(
+                    "event core: column 'warp_start' must be non-decreasing "
+                    f"within [0, {n_rows}]"
+                )
+        if k == A_CODES:
+            has_host = bool(((bits == 3) | (bits == 4)).any())
+            has_rmw = bool((bits == 5).any())
+    # Event kinds that read optional columns need them present.
+    for needed, k in (
+        (has_host, A_HBYTES), (has_host, A_HNUM),
+        (has_rmw, A_WB_DEV), (has_rmw, A_WB_SERV),
+    ):
+        if needed and arrays[k] is None:
+            raise TypeError(
+                f"event core: column {_A_NAMES[k]!r} is required (got None)"
+            )
+
+
+def _memo_key(arrays, isc, n_rows, geometry):
+    """``(scalars, *columns)`` a validation memo vouches for.
+
+    The memo holds the columns themselves, so their identity cannot be
+    recycled while it lives; the compiled core builds the same tuple.
+    """
+    if geometry:
+        scalars = (n_rows, *(isc[k] for k in _GEOMETRY_ISCALARS))
+        return (scalars, *(arrays[k] for k in _GEOMETRY_SLOTS))
+    return ((n_rows, *isc), *arrays)
+
+
+def _memo_hit(cache, key):
+    memo = cache.get("checked") if cache is not None else None
+    return (
+        memo is not None
+        and len(memo) == len(key)
+        and memo[0] == key[0]
+        and all(a is b for a, b in zip(memo[1:], key[1:]))
+    )
+
+
+def _check_pack(arrays, isc, fsc, geo_cache, state_cache):
+    """Validate a pack exactly as the compiled core does.
+
+    Raises ``TypeError`` for a column of the wrong kind or a missing
+    one, ``ValueError`` for a wrong length, an out-of-range index, an
+    invalid time or scalar.  The column scans are memoised in the
+    caller's ``geo_cache`` / ``state_cache`` under ``"checked"``, so a
+    geometry or state is scanned once however many runs share it; the
+    memo trusts that a validated column is not written in place.
+    """
+    if len(arrays) != len(_A_NAMES) or len(isc) != len(_I_NAMES) or len(
+        fsc
+    ) != len(_F_NAMES):
+        raise ValueError(
+            f"event core: expected {len(_A_NAMES)} arrays, {len(_I_NAMES)} "
+            f"iscalars and {len(_F_NAMES)} fscalars"
+        )
+    if not all(c is None or isinstance(c, dict) for c in (geo_cache, state_cache)):
+        raise TypeError(
+            "event core: geo_cache and state_cache must be dicts or None"
+        )
+    views = [_view(col, k) for k, col in enumerate(arrays)]
+    n_rows = views[A_CODES].nbytes // 8 if views[A_CODES] is not None else 0
+    _check_shape(views, isc, fsc, n_rows)
+    for geometry, cache in ((True, geo_cache), (False, state_cache)):
+        key = _memo_key(arrays, isc, n_rows, geometry)
+        if not _memo_hit(cache, key):
+            _scan_columns(arrays, views, isc, n_rows, geometry)
+            if cache is not None:
+                cache["checked"] = key
+
+
+def _normalised(arrays, iscalars, fscalars, geo_cache=None, state_cache=None):
+    """One pack as both cores take it.
+
+    The extension parses scalars with the exact C long-long / double
+    converters; NumPy scalars are normalised up front.
+    """
+    return (
+        tuple(arrays),
+        tuple(int(v) for v in iscalars),
+        tuple(float(v) for v in fscalars),
+        geo_cache,
+        state_cache,
+    )
+
+
 def run_exact(arrays, iscalars, fscalars, geo_cache=None, state_cache=None):
     """One exact-order simulation over the packed columns.
 
@@ -141,20 +474,63 @@ def run_exact(arrays, iscalars, fscalars, geo_cache=None, state_cache=None):
     l2_misses, dram_bytes, link_read_bytes, link_write_bytes,
     meta_hits, meta_misses, buddy_fills, demand_fills)``.
 
-    ``geo_cache``/``state_cache`` are optional dicts the pure-Python
-    implementation uses to keep its derived row tuples across runs of
-    the same geometry/state (the compiled path reads the arrays
-    directly and ignores them).
+    ``geo_cache``/``state_cache`` are optional dicts owned by the
+    pack's geometry and compression state.  Both cores keep their pack
+    validation memo there; the pure-Python core also keeps its derived
+    row tuples, so repeated runs of the same geometry/state pay the
+    conversion once.
     """
+    pack = _normalised(arrays, iscalars, fscalars, geo_cache, state_cache)
     if _ext is not None and not _forced_python:
-        # The extension parses scalars with the exact C long-long /
-        # double converters; normalise any NumPy scalars up front.
-        return _ext.run_exact(
-            arrays,
-            tuple(int(v) for v in iscalars),
-            tuple(float(v) for v in fscalars),
-        )
-    return _run_exact_py(arrays, iscalars, fscalars, geo_cache, state_cache)
+        return _ext.run_exact(*pack)
+    return _run_exact_py(*pack)
+
+
+def _fan_out_width() -> int:
+    """Threads :func:`run_exact_many` may use (1: run serially)."""
+    if not compiled_active():
+        return 1
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1  # a pool worker: the pool already uses the CPUs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_exact_many(packs):
+    """Run independent packs; returns ``[run_exact(*p) for p in packs]``.
+
+    Each pack is a :func:`run_exact` argument tuple ``(arrays,
+    iscalars, fscalars[, geo_cache[, state_cache]])``.  On the compiled
+    core, with more than one usable CPU and outside a
+    ``multiprocessing`` worker, every pack starts on a per-call thread
+    pool as soon as the iterable yields it, so the caller can resolve
+    the next pack while earlier ones run; the compiled loop holds no
+    GIL.  Otherwise the packs run one after another.  Results are in
+    input order either way.  An error in any pack propagates, and no
+    thread outlives the call.
+
+    The workers call the extension directly, never the module-level
+    :func:`run_exact`, so wrappers installed on that name (profilers,
+    tracers) are never entered from several threads at once.
+    """
+    width = _fan_out_width()
+    if width <= 1:
+        run = _ext.run_exact if compiled_active() else _run_exact_py
+        return [run(*_normalised(*pack)) for pack in packs]
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        futures = [
+            pool.submit(_ext.run_exact, *_normalised(*pack)) for pack in packs
+        ]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _cached(cache, key, build):
@@ -171,14 +547,16 @@ def _run_exact_py(arrays, iscalars, fscalars, geo_cache, state_cache):
     """The always-available pure-Python event core.
 
     A verbatim port of the historical inline loop of
-    ``VectorizedSimulator.run``; the compiled extension transcribes
-    *this* function.  Derived row tuples (zips of the input columns)
+    ``VectorizedSimulator.run``, behind the same pack validation as
+    the compiled core; the compiled extension transcribes *this*
+    function.  Derived row tuples (zips of the input columns)
     are memoised in the caller-owned caches so repeated runs over the
     same geometry pay the conversion once, matching the old
     list-of-tuples columns' steady-state speed.
     """
     from heapq import heappop, heappushpop
 
+    _check_pack(arrays, iscalars, fscalars, geo_cache, state_cache)
     (
         codes_a, busy_a, lid_a, mask_a, l1flat_a, l2set_a,
         chan_a, row_a, bank_a,

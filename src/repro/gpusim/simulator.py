@@ -250,6 +250,30 @@ class DependencyDrivenSimulator:
             return VectorizedSimulator(self.config).run(trace, state)
         return self._run_legacy(trace, state)
 
+    def run_many(self, jobs) -> list[SimResult]:
+        """Simulate several jobs; results in job order.
+
+        Each job is ``(trace, state)`` or ``(trace, state, config)``; a
+        job without a config runs on this simulator's machine (the
+        Fig. 11 link sweep passes one per link).  The results equal
+        ``[run(trace, state) ...]`` on each job's machine.  The
+        vectorized engine runs the jobs' event cores concurrently (see
+        ``docs/engines.md``); the legacy oracle runs them one after
+        another.
+        """
+        resolved = [
+            (config[0] if config else self.config, trace, state)
+            for trace, state, *config in jobs
+        ]
+        if self.engine == "vectorized":
+            from repro.gpusim.vector_sim import run_many
+
+            return run_many(resolved)
+        return [
+            DependencyDrivenSimulator(config, self.engine).run(trace, state)
+            for config, trace, state in resolved
+        ]
+
     def _run_legacy(
         self, trace: KernelTrace, state: CompressionState
     ) -> SimResult:

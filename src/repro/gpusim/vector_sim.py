@@ -155,6 +155,19 @@ class _StateColumns:
     )
 
 
+def _freeze(columns) -> None:
+    """Make every array slot read-only.
+
+    The event core validates a geometry or state once and memoises the
+    verdict in its ``rows_cache``; frozen columns keep that verdict
+    true.
+    """
+    for name in columns.__slots__:
+        value = getattr(columns, name, None)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
 def _geometry_columns(trace: KernelTrace, config: GPUConfig) -> _Geometry:
     key = _machine_key(config)
     per_trace = _GEOMETRY_MEMO.get(trace)
@@ -270,6 +283,7 @@ def _geometry_columns(trace: KernelTrace, config: GPUConfig) -> _Geometry:
     geometry.meta_slots = meta.slices * meta.sets_per_slice
     geometry.meta_ways = meta.ways
     geometry.rows_cache = {}
+    _freeze(geometry)
 
     per_trace[key] = geometry
     return geometry
@@ -345,8 +359,109 @@ def _state_columns(
             buddy_table + TRANSACTION_OVERHEAD_BYTES, dtype=np.int64
         )
     columns.rows_cache = {}
+    _freeze(columns)
     per_trace[key] = (state, geometry, columns)
     return geometry, columns
+
+
+def _pack(config: GPUConfig, trace: KernelTrace, state: CompressionState):
+    """The :func:`~repro.gpusim._event_core.run_exact` arguments of one run.
+
+    The one column-resolution path: single runs and batches both build
+    their packs here, from the memoised geometry and state columns.
+    """
+    geometry, columns = _state_columns(trace, state, config)
+    ideal = columns.ideal
+    use_meta = columns.use_meta
+
+    chan_bpc = config.dram_bytes_per_cycle_per_channel
+    fill_tail = (
+        0 if ideal else config.decompression_latency
+    ) + config.l2_latency
+    meta_serv = METADATA_LINE_BYTES / chan_bpc
+    warp_count = geometry.warp_sm.shape[0]
+
+    arrays = (
+        columns.codes, geometry.busy,
+        geometry.lid, geometry.mask, geometry.l1flat, geometry.l2set,
+        geometry.chan, geometry.row, geometry.bank,
+        columns.dev, columns.serv_hit, columns.serv_miss,
+        columns.bud, columns.bnum,
+        geometry.hbytes, geometry.hnum,
+        geometry.mtag, geometry.mslot,
+        geometry.mchan, geometry.mrow, geometry.mbank,
+        columns.wb_dev, columns.wb_serv,
+        columns.wb_bud, columns.wb_bnum,
+        columns.wb_ideal_bytes, columns.wb_ideal_serv,
+        geometry.warp_start, geometry.warp_sm, geometry.warp_mlp,
+    )
+    iscalars = (
+        warp_count, config.sm_count,
+        config.dram_channels, BANKS_PER_CHANNEL,
+        config.line_bytes, ROW_BYTES, columns.entries,
+        geometry.l1_sets_total, geometry.l1_ways,
+        geometry.l2_sets, geometry.l2_ways,
+        geometry.meta_slots, geometry.meta_ways,
+        int(ideal), int(use_meta), _FULL, METADATA_LINE_BYTES,
+    )
+    fscalars = (
+        config.issue_interval,
+        float(config.l1_latency),
+        float(config.l2_latency),
+        float(config.dram_latency),
+        config.link.bytes_per_cycle(config.clock_hz),
+        float(config.link.latency_cycles),
+        float(fill_tail),
+        meta_serv + ROW_HIT_OVERHEAD,
+        meta_serv + ROW_MISS_OVERHEAD,
+        ROW_HIT_OVERHEAD,
+        ROW_MISS_OVERHEAD,
+    )
+    return arrays, iscalars, fscalars, geometry.rows_cache, columns.rows_cache
+
+
+def _result(trace: KernelTrace, state: CompressionState, counters):
+    """The :class:`~repro.gpusim.simulator.SimResult` of one counter tuple."""
+    from repro.gpusim.simulator import SimResult
+
+    (
+        cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
+        link_read_bytes, link_write_bytes, meta_hits, meta_misses,
+        buddy_fills, demand_fills,
+    ) = counters
+
+    l1_total = l1_hits + l1_misses
+    l2_total = l2_hits + l2_misses
+    meta_total = meta_hits + meta_misses
+    return SimResult(
+        benchmark=trace.benchmark,
+        mode=state.mode.value,
+        cycles=cycles,
+        instructions=trace.instruction_count,
+        l1_hit_rate=l1_hits / l1_total if l1_total else 0.0,
+        l2_hit_rate=l2_hits / l2_total if l2_total else 0.0,
+        dram_bytes=dram_bytes,
+        link_bytes=link_read_bytes + link_write_bytes,
+        metadata_hit_rate=meta_hits / meta_total if meta_total else 0.0,
+        buddy_fills=buddy_fills,
+        demand_fills=demand_fills,
+    )
+
+
+def run_many(jobs):
+    """Simulate ``(config, trace, state)`` jobs; results in job order.
+
+    Each job's pack is resolved as the event core asks for it, so the
+    next job's columns resolve while earlier ones simulate (see
+    :func:`repro.gpusim._event_core.run_exact_many`).  The results are
+    those of ``VectorizedSimulator(config).run(trace, state)``.
+    """
+    jobs = list(jobs)
+    counters = _event_core.run_exact_many(_pack(*job) for job in jobs)
+    return [
+        _result(trace, state, result)
+        for (_, trace, state), result in zip(jobs, counters)
+    ]
 
 
 class VectorizedSimulator:
@@ -362,81 +477,5 @@ class VectorizedSimulator:
         traffic counters are identical to the legacy engine's and
         whose cycle count is bit-identical.
         """
-        from repro.gpusim.simulator import SimResult
-
-        config = self.config
-        geometry, columns = _state_columns(trace, state, config)
-        ideal = columns.ideal
-        use_meta = columns.use_meta
-
-        chan_bpc = config.dram_bytes_per_cycle_per_channel
-        fill_tail = (
-            0 if ideal else config.decompression_latency
-        ) + config.l2_latency
-        meta_serv = METADATA_LINE_BYTES / chan_bpc
-        warp_count = geometry.warp_sm.shape[0]
-
-        arrays = (
-            columns.codes, geometry.busy,
-            geometry.lid, geometry.mask, geometry.l1flat, geometry.l2set,
-            geometry.chan, geometry.row, geometry.bank,
-            columns.dev, columns.serv_hit, columns.serv_miss,
-            columns.bud, columns.bnum,
-            geometry.hbytes, geometry.hnum,
-            geometry.mtag, geometry.mslot,
-            geometry.mchan, geometry.mrow, geometry.mbank,
-            columns.wb_dev, columns.wb_serv,
-            columns.wb_bud, columns.wb_bnum,
-            columns.wb_ideal_bytes, columns.wb_ideal_serv,
-            geometry.warp_start, geometry.warp_sm, geometry.warp_mlp,
-        )
-        iscalars = (
-            warp_count, config.sm_count,
-            config.dram_channels, BANKS_PER_CHANNEL,
-            config.line_bytes, ROW_BYTES, columns.entries,
-            geometry.l1_sets_total, geometry.l1_ways,
-            geometry.l2_sets, geometry.l2_ways,
-            geometry.meta_slots, geometry.meta_ways,
-            int(ideal), int(use_meta), _FULL, METADATA_LINE_BYTES,
-        )
-        fscalars = (
-            config.issue_interval,
-            float(config.l1_latency),
-            float(config.l2_latency),
-            float(config.dram_latency),
-            config.link.bytes_per_cycle(config.clock_hz),
-            float(config.link.latency_cycles),
-            float(fill_tail),
-            meta_serv + ROW_HIT_OVERHEAD,
-            meta_serv + ROW_MISS_OVERHEAD,
-            ROW_HIT_OVERHEAD,
-            ROW_MISS_OVERHEAD,
-        )
-
-        counters = _event_core.run_exact(
-            arrays, iscalars, fscalars,
-            geo_cache=geometry.rows_cache,
-            state_cache=columns.rows_cache,
-        )
-        (
-            cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
-            link_read_bytes, link_write_bytes, meta_hits, meta_misses,
-            buddy_fills, demand_fills,
-        ) = counters
-
-        l1_total = l1_hits + l1_misses
-        l2_total = l2_hits + l2_misses
-        meta_total = meta_hits + meta_misses
-        return SimResult(
-            benchmark=trace.benchmark,
-            mode=state.mode.value,
-            cycles=cycles,
-            instructions=trace.instruction_count,
-            l1_hit_rate=l1_hits / l1_total if l1_total else 0.0,
-            l2_hit_rate=l2_hits / l2_total if l2_total else 0.0,
-            dram_bytes=dram_bytes,
-            link_bytes=link_read_bytes + link_write_bytes,
-            metadata_hit_rate=meta_hits / meta_total if meta_total else 0.0,
-            buddy_fills=buddy_fills,
-            demand_fills=demand_fills,
-        )
+        counters = _event_core.run_exact(*_pack(self.config, trace, state))
+        return _result(trace, state, counters)
